@@ -151,14 +151,17 @@ def all_pairs_distances(graph: MolecularGraph) -> np.ndarray:
 _AROMATIC_LOWER = {e.lower(): e for e in AROMATIC_ELEMENTS}
 
 
-def _implicit_hydrogens(element: str, aromatic: bool, bond_sum: int) -> int:
-    """Hydrogens implied by standard valence for an unbracketed atom.
+def _implicit_hydrogens(
+    element: str, charge: int, aromatic: bool, bond_sum: int
+) -> int:
+    """Hydrogens implied by standard valence, adjusted for a formal charge.
 
     Aromatic atoms reserve one valence for the ring system, so their target
-    valence is the smallest typical valence minus one.
+    valence is the smallest typical valence minus one.  Aromatic bonds count
+    one towards ``bond_sum``.
     """
-    valences = implicit_valence(element)
-    if aromatic:
+    valences = implicit_valence(element, charge)
+    if aromatic and valences:
         return max(0, valences[0] - 1 - bond_sum)
     for v in valences:
         if v >= bond_sum:
@@ -206,7 +209,9 @@ class _SmilesReader:
         atom = self.atoms[i]
         if self.bracketed[i]:
             return atom
-        hydro = _implicit_hydrogens(atom.label, atom.aromatic, self.bond_sums[i])
+        hydro = _implicit_hydrogens(
+            atom.label, atom.charge, atom.aromatic, self.bond_sums[i]
+        )
         return AtomNode(atom.label, hydro, atom.charge, atom.aromatic)
 
     def add_bond(self, i: int, j: int, order: int, offset: int) -> None:
@@ -478,10 +483,13 @@ def _parse_molblock(lines: list[str], name: str) -> MolecularGraph:
     # implicit hydrogens from standard valence.
     explicit_h = [0] * natoms
     bond_sum = [0] * natoms
+    aromatic = [False] * natoms
     for a, b, order in bonds:
         weight = 1 if order == AROMATIC_BOND else order
         bond_sum[a] += weight
         bond_sum[b] += weight
+        if order == AROMATIC_BOND:
+            aromatic[a] = aromatic[b] = True
     heavy = [i for i in range(natoms) if labels[i] != "H"]
     if not heavy:
         raise ParseError("molblock contains no heavy atoms", 3)
@@ -497,13 +505,10 @@ def _parse_molblock(lines: list[str], name: str) -> MolecularGraph:
             edges.append((remap[a], remap[b], order))
     nodes = []
     for i in heavy:
-        valences = implicit_valence(labels[i], charges[i])
-        implicit = 0
-        for v in valences:
-            if v >= bond_sum[i]:
-                implicit = v - bond_sum[i]
-                break
-        nodes.append(AtomNode(labels[i], explicit_h[i] + implicit, charges[i]))
+        # the same rule as lowercase SMILES atoms, so both formats agree
+        arom = aromatic[i] and labels[i] in AROMATIC_ELEMENTS
+        implicit = _implicit_hydrogens(labels[i], charges[i], arom, bond_sum[i])
+        nodes.append(AtomNode(labels[i], explicit_h[i] + implicit, charges[i], arom))
     return MolecularGraph(nodes, edges, name=name)
 
 

@@ -5,6 +5,16 @@ are isomorphic under a mapping that preserves node labels, edge orders and
 the root.  Keys are produced by iterative neighborhood color refinement with
 exhaustive tie-breaking, so they are exact (not merely hash-based) for the
 small neighborhoods this library extracts.
+
+The tie-breaking search prunes by automorphisms (orbit pruning, as in
+McKay & Piperno, *Practical Graph Isomorphism II*, 2014).  Whenever a leaf
+serializes equal to the first or the best leaf, the two node orders define
+an automorphism of the rooted labeled graph.  A branch whose vertex lies in
+the orbit of an already searched one, under the automorphisms that fix
+every vertex individualized on the way down, would only repeat that
+branch's leaves under a relabeling, so it is skipped.  The smallest
+serialization, and with it every key, is the same as without pruning, but
+a symmetric molecule no longer costs one search leaf per automorphism.
 """
 
 from __future__ import annotations
@@ -88,6 +98,19 @@ def _refine(
         classes = len(ranks)
 
 
+def _orbit(seeds: list[int], generators: list[dict[int, int]]) -> set[int]:
+    """Images of ``seeds`` under the group the permutations generate."""
+    reached = set(seeds)
+    stack = list(seeds)
+    while stack:
+        u = stack.pop()
+        for g in generators:
+            if g[u] not in reached:
+                reached.add(g[u])
+                stack.append(g[u])
+    return reached
+
+
 def canonical_key(
     labels: Sequence[str],
     edges: Sequence[tuple[int, int, int]],
@@ -99,6 +122,12 @@ def canonical_key(
     keys reconstruct equal graphs: two rooted graphs get the same key if and
     only if some isomorphism maps one onto the other carrying root to root
     and preserving node labels and edge orders.
+
+    The ordering is the smallest serialization over the leaves of an
+    individualization-refinement search.  Branches that an automorphism
+    found at earlier leaves maps onto an already searched branch are
+    skipped: their leaves serialize exactly like that branch's, so the
+    minimum and the key do not change.
     """
     n = len(labels)
     if n > MAX_SUBGRAPH_NODES:
@@ -111,7 +140,10 @@ def canonical_key(
         adjacency[j].append((order, i))
 
     initial = [(v == root, labels[v]) for v in range(n)]
-    best: str | None = None
+    # (serialization, node order) of the first leaf and of the best leaf
+    first: tuple[str, list[int]] | None = None
+    best: tuple[str, list[int]] | None = None
+    automorphisms: list[dict[int, int]] = []
 
     def serialize(order: list[int]) -> str:
         pos = [0] * n
@@ -126,8 +158,8 @@ def canonical_key(
         )
         return f"@{pos[root]};{node_part};{edge_part}"
 
-    def search(colors: list[int]) -> None:
-        nonlocal best
+    def search(colors: list[int], path: tuple[int, ...]) -> None:
+        nonlocal first, best
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -135,18 +167,36 @@ def canonical_key(
         if not ambiguous:
             order = sorted(range(n), key=lambda v: colors[v])
             candidate = serialize(order)
-            if best is None or candidate < best:
-                best = candidate
+            if first is None:
+                first = best = (candidate, order)
+                return
+            for seen, seen_order in (first, best):
+                if seen == candidate:
+                    # equal serializations: position-wise the orders map
+                    # one onto the other by an automorphism; best only ever
+                    # serializes below first, so at most one of them matches
+                    automorphisms.append(dict(zip(order, seen_order)))
+                    break
+            if candidate < best[0]:
+                best = (candidate, order)
             return
         target = min(ambiguous)
+        searched: list[int] = []
         for v in cells[target]:
+            # automorphisms fixing the path map this search node onto itself,
+            # so the subtree under v is an image of one already searched
+            if automorphisms and v in _orbit(
+                searched, [g for g in automorphisms if all(g[u] == u for u in path)]
+            ):
+                continue
+            searched.append(v)
             branched = list(colors)
             branched[v] = -1  # individualize: -1 sorts ahead of every rank
-            search(_refine(branched, adjacency))
+            search(_refine(branched, adjacency), path + (v,))
 
-    search(_refine(list(initial), adjacency))
+    search(_refine(list(initial), adjacency), ())
     assert best is not None
-    return best
+    return best[0]
 
 
 def neighborhood_subgraph(

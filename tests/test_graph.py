@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from submol.features import height_features
 from submol.graph import (
     AROMATIC_BOND,
     AtomNode,
@@ -358,6 +359,56 @@ def test_sdf_matches_smiles_for_same_molecule():
     assert sorted(o for _, _, o in from_sdf.edges) == sorted(
         o for _, _, o in from_smiles.edges
     )
+
+
+def molblock(symbols, bonds, charges=None):
+    """A V2000 record; ``bonds`` are 1-based ``(a, b, type)`` triples."""
+    charges = charges or {}
+    lines = ["ring", "  submoltest", ""]
+    lines.append(f"{len(symbols):3d}{len(bonds):3d}  0  0  0  0  0  0  0  0999 V2000")
+    for symbol in symbols:
+        lines.append(f"    0.0000    0.0000    0.0000 {symbol:<3} 0  0  0  0")
+    for a, b, kind in bonds:
+        lines.append(f"{a:3d}{b:3d}{kind:3d}  0")
+    for atom, charge in charges.items():
+        lines.append(f"M  CHG  1 {atom:3d} {charge:3d}")
+    lines += ["M  END", "$$$$", ""]
+    return "\n".join(lines)
+
+
+def ring_bonds(n, kind=AROMATIC_BOND):
+    return [(i + 1, (i + 1) % n + 1, kind) for i in range(n)]
+
+
+def test_sdf_aromatic_bonds_match_aromatic_smiles():
+    records, skipped = parse_sdf(molblock(["C"] * 6, ring_bonds(6)))
+    assert skipped == []
+    benzene = records[0][0]
+    assert all(n.aromatic and n.hydrogens == 1 for n in benzene.nodes)
+    assert height_features(benzene, [1]) == height_features(
+        parse_smiles("c1ccccc1"), [1]
+    )
+
+
+def test_sdf_aromatic_hydrogens_follow_the_smiles_rule():
+    # pyridine: aromatic N takes no hydrogen; explicit H atoms still fold in
+    symbols = ["C"] * 5 + ["N", "H"]
+    records, _ = parse_sdf(molblock(symbols, ring_bonds(6) + [(1, 7, 1)]))
+    assert atoms(records[0][0]) == atoms(parse_smiles("c1ccccn1"))
+    assert records[0][0].nodes[5].aromatic
+    # pyridinium: the charge raises the valence, as for [nH+] in SMILES
+    records, _ = parse_sdf(molblock(["C"] * 5 + ["N"], ring_bonds(6), {6: 1}))
+    assert atoms(records[0][0])[5] == ("N", 1, 1)
+    # selenophene: no typical valence for Se, so no implicit hydrogens
+    records, skipped = parse_sdf(molblock(["C"] * 4 + ["Se"], ring_bonds(5)))
+    assert skipped == []
+    assert atoms(records[0][0])[4] == ("Se", 0, 0)
+    assert records[0][0].nodes[4].aromatic
+    # a Kekule ring is not aromatic
+    kekule = [(a, b, 2 - k % 2) for k, (a, b, _) in enumerate(ring_bonds(6))]
+    records, _ = parse_sdf(molblock(["C"] * 6, kekule))
+    assert not any(n.aromatic for n in records[0][0].nodes)
+    assert atoms(records[0][0]) == [("C", 1, 0)] * 6
 
 
 def test_bad_counts_record_skipped_not_fatal():

@@ -11,6 +11,7 @@ import random
 import pytest
 from helpers import permuted_graph, random_labeled_graph, root_preserving_isomorphic
 
+from submol import signatures
 from submol.graph import AtomNode, MolecularGraph, parse_smiles
 from submol.signatures import (
     MAX_SUBGRAPH_NODES,
@@ -171,6 +172,97 @@ def test_regular_graph_needs_tie_breaking():
     # but a 4-path rooted at a corner is different
     path = [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
     assert canonical_key(labels, square, 0) != canonical_key(labels, path, 0)
+
+
+# --- symmetric graphs and search size --------------------------------------
+
+TETRA_TERT_BUTYLMETHANE = "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
+TETRA_NEOPENTYLMETHANE = "C(CC(C)(C)C)(CC(C)(C)C)(CC(C)(C)C)CC(C)(C)C"
+
+
+def test_symmetric_molecule_search_is_pruned(monkeypatch):
+    # 4!*(3!)^4 = 31,104 automorphisms fix the centre; a search without
+    # orbit pruning visits one leaf per automorphism (55,985 refinements)
+    calls = 0
+    refine = signatures._refine
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(signatures, "_refine", counting)
+    graph = parse_smiles(TETRA_TERT_BUTYLMETHANE)
+    canonical_signature(neighborhood_subgraph(graph, 0, 2))
+    assert calls <= 1000
+
+
+@pytest.mark.parametrize(
+    "smiles,height,expected",
+    [
+        (
+            TETRA_TERT_BUTYLMETHANE,
+            2,
+            "@16;CH3,CH3,CH3,CH3,CH3,CH3,CH3,CH3,C,C,C,C,CH3,CH3,CH3,CH3,C;"
+            "0-11:1,1-11:1,2-8:1,3-8:1,4-9:1,5-9:1,6-10:1,7-10:1,8-14:1,8-16:1,"
+            "9-13:1,9-16:1,10-12:1,10-16:1,11-15:1,11-16:1",
+        ),
+        (
+            TETRA_NEOPENTYLMETHANE,
+            3,
+            "@20;CH3,CH3,CH3,CH3,CH3,CH3,CH3,CH3,C,C,C,C,CH2,CH2,CH2,CH2,"
+            "CH3,CH3,CH3,CH3,C;0-11:1,1-11:1,2-8:1,3-8:1,4-9:1,5-9:1,6-10:1,"
+            "7-10:1,8-14:1,8-18:1,9-13:1,9-17:1,10-12:1,10-16:1,11-15:1,"
+            "11-19:1,12-20:1,13-20:1,14-20:1,15-20:1",
+        ),
+    ],
+)
+def test_symmetric_molecule_keys(smiles, height, expected):
+    # recorded from the exhaustive search without automorphism pruning
+    sub = neighborhood_subgraph(parse_smiles(smiles), 0, height)
+    assert canonical_signature(sub).key == expected
+
+
+def hypercube(d):
+    flips = [1 << b for b in range(d)]
+    return [(i, i ^ f, 1) for i in range(2**d) for f in flips if i < i ^ f]
+
+
+PETERSEN = (
+    [(i, (i + 1) % 5, 1) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]
+    + [(i, 5 + i, 1) for i in range(5)]
+)
+K33 = [(i, 3 + j, 1) for i in range(3) for j in range(3)]
+# a hub joined to every vertex of a hexagon and of two triangles
+HUB = (
+    [(0, v, 1) for v in range(1, 13)]
+    + [(1 + i, 1 + (i + 1) % 6, 1) for i in range(6)]
+    + [(7, 8, 1), (8, 9, 1), (7, 9, 1), (10, 11, 1), (11, 12, 1), (10, 12, 1)]
+)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [hypercube(3), hypercube(4), PETERSEN, K33, HUB],
+    ids=["3-cube", "4-cube", "petersen", "k3,3", "hub"],
+)
+def test_permutation_invariance_symmetric_graphs(edges):
+    # Rooted at 0, every relabeling must give one key.  The first four are
+    # distance-transitive with large automorphism groups, so every branch
+    # of their search is equivalent.  In HUB refinement cannot tell the
+    # hexagon from the triangles, so a prune that drops branches which are
+    # not automorphic images makes the key depend on the input order.
+    n = 1 + max(max(i, j) for i, j, _ in edges)
+    rnd = random.Random(n)
+    keys = set()
+    for _ in range(30):
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        shuffled = [(perm[i], perm[j], o) for i, j, o in edges]
+        rnd.shuffle(shuffled)
+        keys.add(canonical_key(["C"] * n, shuffled, perm[0]))
+    assert len(keys) == 1
 
 
 # --- neighborhood extraction -----------------------------------------------
