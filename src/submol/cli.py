@@ -30,24 +30,31 @@ from .features import (
     save_sparse,
     save_vocab,
 )
-from .forest import ForestConfig, train_forest
+from .forest import ForestConfig
 from .graph import ParseError, parse_sdf, parse_smiles
 from .ingest import IngestError, Resolver, featurize_pairs, load_pairs
-from .kernels import KernelError, gram_matrix, kernel_feature_rows, save_gram
-from .neural import NetConfig, train_mlp, train_partitioned_net
-from .persist import KernelizedModel, load_model, save_model
+from .kernels import KernelError, gram_matrix, save_gram
+from .neural import NetConfig
+from .persist import load_model, save_model
 from .protocol import (
+    ALGORITHMS,
+    KERNELS,
     PipelineSpec,
     Protocol,
+    fit,
     read_metrics_csv,
     run_protocol,
     write_metrics_csv,
     write_roc_csv,
     write_summary_json,
 )
-from .svm import SvmConfig, train_svm
+from .svm import SvmConfig
 
-ALGO_CHOICES = ("rf", "mlp", "pnet", "svm")
+# Not called here; the benchmark's tracer (bench/spans.py) patches these names.
+from .forest import train_forest  # noqa: F401
+from .kernels import kernel_feature_rows  # noqa: F401
+from .neural import train_mlp, train_partitioned_net  # noqa: F401
+from .svm import train_svm  # noqa: F401
 
 
 def _subparser(sub, name: str, help_text: str):
@@ -104,9 +111,9 @@ def _add_featurize(sub) -> None:
 
 
 def _add_algo_flags(p) -> None:
-    p.add_argument("--algo", default="rf", choices=ALGO_CHOICES)
+    p.add_argument("--algo", default="rf", choices=tuple(ALGORITHMS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel", default="none", choices=("none", "cosine", "nspdk"))
+    p.add_argument("--kernel", default="none", choices=KERNELS)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--criterion", default="gini", choices=("gini", "entropy"))
@@ -207,19 +214,27 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
                 continue
             for action in sub_parser._actions:  # noqa: SLF001
                 dest = action.dest
-                if dest in cleaned and action.type is not None \
-                        and isinstance(cleaned[dest], str):
+                if dest not in cleaned:
+                    continue
+                if action.type is not None and isinstance(cleaned[dest], str):
                     try:
                         cleaned[dest] = action.type(cleaned[dest])
                     except ValueError:
                         raise ConfigError(
                             f"bad value {cleaned[dest]!r} for config key {dest!r}"
                         ) from None
+                # argparse checks choices only for values given on the command line
+                if action.choices is not None and cleaned[dest] not in action.choices:
+                    raise ConfigError(
+                        f"bad value {cleaned[dest]!r} for config key {dest!r}; "
+                        f"choose from {', '.join(action.choices)}"
+                    )
             sub_parser.set_defaults(**cleaned)
     return parser.parse_args(argv)
 
 
-def _make_algo_config(args) -> Any:
+def _pipeline(args) -> PipelineSpec:
+    """The classifier, kernel and thread count that the algorithm flags ask for."""
     if args.algo == "rf":
         max_features: str | int = args.max_features
         if isinstance(max_features, str) and max_features not in ("sqrt", "all"):
@@ -229,22 +244,24 @@ def _make_algo_config(args) -> Any:
                 raise ConfigError(
                     f"--max-features wants sqrt, all or an integer, got {max_features!r}"
                 ) from None
-        return ForestConfig(trees=args.trees, criterion=args.criterion,
-                            max_features=max_features)
-    if args.algo in ("mlp", "pnet"):
-        return NetConfig(
+        cfg = ForestConfig(trees=args.trees, criterion=args.criterion,
+                           max_features=max_features)
+    elif args.algo in ("mlp", "pnet"):
+        cfg = NetConfig(
             learning_rate=args.learning_rate,
             momentum=args.momentum,
             validation_fraction=args.val_fraction,
             max_epochs=args.epochs,
             voted=args.voted,
         )
-    return SvmConfig(
-        kernel=args.svm_kernel,
-        C=args.cost,
-        pos_cost_factor=args.pos_cost_factor,
-        gamma=args.gamma,
-    )
+    else:
+        cfg = SvmConfig(
+            kernel=args.svm_kernel,
+            C=args.cost,
+            pos_cost_factor=args.pos_cost_factor,
+            gamma=args.gamma,
+        )
+    return PipelineSpec(args.algo, cfg, kernel=args.kernel, threads=args.threads)
 
 
 def _read_heights_distances(args) -> tuple[list[int], list[int]]:
@@ -351,28 +368,9 @@ def _load_features(features_path: str, vocab_path: str | None) -> DatasetMatrix:
 
 
 def cmd_train(args) -> int:
+    pipeline = _pipeline(args)
     data = _load_features(args.features, args.vocab)
-    cfg = _make_algo_config(args)
-    if args.algo == "pnet" and args.kernel != "none":
-        raise ConfigError(
-            "the partitioned network needs raw mass-ordered features, not "
-            "kernel columns"
-        )
-    if args.kernel != "none":
-        rows = kernel_feature_rows(data, data, args.kernel)
-        inner_data = DatasetMatrix(rows, data.y, data.ids, None)
-    else:
-        inner_data = data
-    if args.algo == "rf":
-        model = train_forest(inner_data, cfg, args.seed, threads=args.threads)
-    elif args.algo == "mlp":
-        model = train_mlp(inner_data, cfg, args.seed)
-    elif args.algo == "pnet":
-        model = train_partitioned_net(inner_data, cfg, args.seed)
-    else:
-        model = train_svm(inner_data, cfg, args.seed)
-    if args.kernel != "none":
-        model = KernelizedModel(args.kernel, data, model)
+    model, _ = fit(data, pipeline, args.seed, pipeline.threads)
     with open(args.model_out, "w", encoding="utf-8") as handle:
         save_model(handle, model)
     print(f"trained {args.algo} on {len(data)} rows, {data.X.shape[1]} features")
@@ -381,14 +379,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    data = _load_features(args.features, args.vocab)
-    pipeline = PipelineSpec(
-        algorithm=args.algo,
-        algo_config=_make_algo_config(args),
-        kernel=args.kernel,
-        threads=args.threads,
-    )
+    pipeline = _pipeline(args)
     protocol = Protocol.parse(args.protocol)
+    data = _load_features(args.features, args.vocab)
     result = run_protocol(data, pipeline, protocol, seed=args.seed)
     with open(args.out_metrics, "w", encoding="utf-8") as handle:
         write_metrics_csv(handle, result)

@@ -208,6 +208,22 @@ class DatasetMatrix:
         )
 
 
+def scoring_rows(X, n_features: int | None) -> np.ndarray:
+    """Rows handed to a model's ``score_rows`` as a dense 2-D float array.
+
+    Accepts a sparse matrix, a dense matrix or one row.  Raises
+    ``ValueError`` when ``n_features`` is given and the width differs.
+    """
+    X = np.asarray(X.toarray() if sp.issparse(X) else X, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(
+            f"rows have {X.shape[1]} features, the model expects {n_features}"
+        )
+    return X
+
+
 def build_matrix(
     vectors: Sequence[FeatureVector],
     labels: Sequence[int],

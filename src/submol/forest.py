@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .features import DatasetMatrix
+from .features import DatasetMatrix, scoring_rows
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,7 @@ class ForestModel:
     threshold: float = 0.5
 
     def score_rows(self, X) -> np.ndarray:
-        X = np.asarray(X if isinstance(X, np.ndarray) else X.toarray(), dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"rows have {X.shape[1]} features, the model expects {self.n_features}"
-            )
+        X = scoring_rows(X, self.n_features)
         total = np.zeros(X.shape[0])
         for tree in self.trees:
             total += _tree_scores(tree["nodes"], X)
@@ -215,8 +209,3 @@ def train_forest(
     else:
         trees = [build(rng) for rng in rngs]
     return ForestModel(cfg, seed, X.shape[1], trees)
-
-
-def forest_score(model: ForestModel, row) -> float:
-    """Mean of the per-tree leaf values reached by one row."""
-    return float(model.score_rows(row)[0])

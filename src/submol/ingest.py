@@ -151,11 +151,6 @@ class Resolver:
         return record
 
 
-def resolve(ident: str, kind: str, resolver: Resolver) -> StructureRecord:
-    """Module-level convenience wrapper around :meth:`Resolver.resolve`."""
-    return resolver.resolve(ident, kind)
-
-
 # --- Labeled molecule sets -------------------------------------------------
 
 

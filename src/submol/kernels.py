@@ -15,7 +15,7 @@ from typing import Sequence, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .features import DatasetMatrix
+from .features import DatasetMatrix, scoring_rows
 
 
 class ZeroRowWarning(UserWarning):
@@ -122,6 +122,30 @@ def kernel_feature_rows(
             out += _row_normalize(A[:, cols]) @ _row_normalize(B[:, cols]).T
         return out / len(blocks)
     raise KernelError(f"unknown kernel {kernel!r}")
+
+
+class KernelizedModel:
+    """A model trained on similarity columns against a fixed basis set.
+
+    Wraps an inner model together with the basis rows, so new feature rows
+    are first mapped to kernel similarities and then scored.
+    """
+
+    def __init__(self, kernel: str, basis: DatasetMatrix, inner):
+        self.kernel = kernel
+        self.basis = basis
+        self.inner = inner
+        self.threshold = inner.threshold
+
+    def score_rows(self, X) -> np.ndarray:
+        X = scoring_rows(X, None)  # the kernel checks the width
+        rows = DatasetMatrix(
+            X,
+            np.ones(X.shape[0], dtype=int),
+            tuple(str(i) for i in range(X.shape[0])),
+            self.basis.vocab,
+        )
+        return self.inner.score_rows(kernel_feature_rows(self.basis, rows, self.kernel))
 
 
 def gram_matrix(data: DatasetMatrix, kernel: str = "cosine") -> GramMatrix:

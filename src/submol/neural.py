@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .features import DatasetMatrix
+from .features import DatasetMatrix, scoring_rows
 
 #: Initial weights are drawn uniformly from this symmetric interval.
 INIT_SCALE = 0.1
@@ -126,13 +125,7 @@ class NetModel:
     threshold: float = 0.5
 
     def score_rows(self, X) -> np.ndarray:
-        X = np.asarray(X if isinstance(X, np.ndarray) else X.toarray(), dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"rows have {X.shape[1]} features, the model expects {self.n_features}"
-            )
+        X = scoring_rows(X, self.n_features)
         sources = self.snapshots if self.config.voted else [self.params]
         out = np.zeros(X.shape[0])
         for p in sources:
@@ -235,8 +228,3 @@ def train_partitioned_net(data: DatasetMatrix, cfg: NetConfig, seed: int) -> Net
         )
     mask = partition_mask(data.X.shape[1])
     return _train_net(data, cfg, seed, "pnet", PARTITIONED_HIDDEN, mask)
-
-
-def mlp_score(model: NetModel, row) -> float:
-    """Network output in (0, 1) for one row."""
-    return float(model.score_rows(row)[0])

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from .features import DatasetMatrix, FeatureVocabulary
 from .forest import ForestConfig, ForestModel
+from .kernels import KernelizedModel
 from .neural import NetConfig, NetModel, NetParams
 from .svm import SvmConfig, SvmModel
 
@@ -123,31 +124,6 @@ def _svm_restore(payload: dict[str, Any]) -> SvmModel:
         norm_w=float(payload["norm_w"]),
         threshold=payload["threshold"],
     )
-
-
-class KernelizedModel:
-    """A model trained on similarity columns against a fixed basis set.
-
-    Wraps an inner model together with the basis rows, so new feature rows
-    are first mapped to kernel similarities and then scored.
-    """
-
-    def __init__(self, kernel: str, basis: DatasetMatrix, inner):
-        self.kernel = kernel
-        self.basis = basis
-        self.inner = inner
-        self.threshold = inner.threshold
-
-    def score_rows(self, X) -> np.ndarray:
-        from .kernels import kernel_feature_rows
-
-        rows = DatasetMatrix(
-            X,
-            np.ones(X.shape[0], dtype=int),
-            tuple(str(i) for i in range(X.shape[0])),
-            self.basis.vocab,
-        )
-        return self.inner.score_rows(kernel_feature_rows(self.basis, rows, self.kernel))
 
 
 def _matrix_payload(data: DatasetMatrix) -> dict[str, Any]:

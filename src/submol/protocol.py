@@ -29,7 +29,7 @@ from .evaluate import (
 )
 from .features import DatasetMatrix, FeatureVocabulary
 from .forest import ForestConfig, train_forest
-from .kernels import kernel_feature_rows
+from .kernels import KernelizedModel, kernel_feature_rows
 from .neural import NetConfig, train_mlp, train_partitioned_net
 from .svm import SvmConfig, train_svm
 
@@ -63,15 +63,24 @@ class Protocol:
     def __post_init__(self):
         if self.kind not in ("kfold", "shuffle"):
             raise ConfigError(f"unknown protocol {self.kind!r}")
+        if self.folds < 2:
+            raise ConfigError("k-fold needs at least 2 folds")
+        if self.trials < 1:
+            raise ConfigError("shuffle splits need at least 1 trial")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("the train fraction must lie strictly between 0 and 1")
 
     @classmethod
     def parse(cls, text: str) -> "Protocol":
         parts = text.split(":")
-        if parts[0] == "kfold" and len(parts) == 2:
-            return cls("kfold", folds=int(parts[1]))
-        if parts[0] == "shuffle" and len(parts) in (2, 3):
-            fraction = parse_fraction(parts[2]) if len(parts) == 3 else 2 / 3
-            return cls("shuffle", trials=int(parts[1]), train_fraction=fraction)
+        try:
+            if parts[0] == "kfold" and len(parts) == 2:
+                return cls("kfold", folds=int(parts[1]))
+            if parts[0] == "shuffle" and len(parts) in (2, 3):
+                fraction = parse_fraction(parts[2]) if len(parts) == 3 else 2 / 3
+                return cls("shuffle", trials=int(parts[1]), train_fraction=fraction)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad protocol {text!r}: {exc}") from None
         raise ConfigError(
             f"cannot parse protocol {text!r}; want kfold:K or shuffle:N[:frac]"
         )
@@ -105,6 +114,12 @@ class PipelineSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        config_class, _ = ALGORITHMS[self.algorithm]
+        if not isinstance(self.algo_config, config_class):
+            raise ConfigError(
+                f"algorithm {self.algorithm!r} takes a {config_class.__name__}, "
+                f"not a {type(self.algo_config).__name__}"
+            )
         if self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
         if self.threads < 1:
@@ -150,6 +165,26 @@ def _restrict_to_training_vocab(
     )
 
 
+def fit(train: DatasetMatrix, pipeline: PipelineSpec, seed: int, threads: int):
+    """Train ``pipeline``'s classifier on ``train``.
+
+    With a kernel, the classifier learns from the similarity rows of
+    ``train`` against itself and is returned wrapped in a
+    :class:`KernelizedModel`, which maps new rows the same way.  Returns the
+    model and the rows the classifier was trained on, so the training set
+    can be scored without computing its kernel again.
+    """
+    seen = train
+    if pipeline.kernel != "none":
+        rows = kernel_feature_rows(train, train, pipeline.kernel)
+        seen = DatasetMatrix(rows, train.y, train.ids, None)
+    _, trainer = ALGORITHMS[pipeline.algorithm]
+    model = trainer(seen, pipeline.algo_config, seed, threads)
+    if pipeline.kernel != "none":
+        model = KernelizedModel(pipeline.kernel, train, model)
+    return model, seen
+
+
 def _trial_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
 
@@ -163,7 +198,6 @@ def run_protocol(
     """Run every split of ``protocol`` and collect per-trial metrics."""
     if pipeline.kernel == "nspdk" and data.vocab is None:
         raise ConfigError("the nspdk kernel needs a feature vocabulary")
-    _, trainer = ALGORITHMS[pipeline.algorithm]
     splits = protocol.splits(len(data), seed)
 
     def run_trial(args: tuple[int, tuple[np.ndarray, np.ndarray]]):
@@ -172,13 +206,9 @@ def run_protocol(
             train, val = _restrict_to_training_vocab(
                 data.subset(train_idx), data.subset(val_idx)
             )
-            if pipeline.kernel != "none":
-                train_rows = kernel_feature_rows(train, train, pipeline.kernel)
-                val_rows = kernel_feature_rows(train, val, pipeline.kernel)
-                train = DatasetMatrix(train_rows, train.y, train.ids, None)
-                val = DatasetMatrix(val_rows, val.y, val.ids, None)
-            model = trainer(train, pipeline.algo_config, _trial_seed(seed, t), 1)
-            train_scores = model.score_rows(train.X)
+            model, seen = fit(train, pipeline, _trial_seed(seed, t), 1)
+            classifier = model.inner if pipeline.kernel != "none" else model
+            train_scores = classifier.score_rows(seen.X)
             val_scores = model.score_rows(val.X)
             return (
                 t,

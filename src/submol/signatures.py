@@ -73,11 +73,6 @@ class Signature:
     mass: float
 
 
-def subgraph_mass(sig: Signature) -> float:
-    """Total mass recorded on a signature."""
-    return sig.mass
-
-
 def _refine(
     colors: list,
     adjacency: list[list[tuple[int, int]]],

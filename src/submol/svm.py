@@ -10,13 +10,12 @@ distances to the separating hyperplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .features import DatasetMatrix
+from .features import DatasetMatrix, scoring_rows
 
 _STEP_EPS = 1e-12
 #: Alphas this close (relatively) to a box bound count as sitting on it.
@@ -67,7 +66,6 @@ class SvmModel:
     sv_indices: np.ndarray
     norm_w: float
     threshold: float = 0.0
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def _raw_scores(self, X: np.ndarray) -> np.ndarray:
         coef = self.alphas * self.sv_labels
@@ -84,13 +82,8 @@ class SvmModel:
         return X[:, self.sv_indices] @ coef + self.bias
 
     def score_rows(self, X) -> np.ndarray:
-        X = np.asarray(X if isinstance(X, np.ndarray) else X.toarray(), dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if self.config.kernel != "precomputed" and X.shape[1] != self.n_features:
-            raise ValueError(
-                f"rows have {X.shape[1]} features, the model expects {self.n_features}"
-            )
+        precomputed = self.config.kernel == "precomputed"
+        X = scoring_rows(X, None if precomputed else self.n_features)
         raw = self._raw_scores(X)
         return raw / self.norm_w if self.norm_w > 0 else raw
 
@@ -244,8 +237,3 @@ def _max_violation(alphas, errors, y, box) -> float:
     can_shrink = alphas > box * _BOUND_EPS
     viol = np.maximum(np.where(can_grow, -r, 0.0), np.where(can_shrink, r, 0.0))
     return float(np.max(viol, initial=0.0))
-
-
-def svm_score(model: SvmModel, row) -> float:
-    """Signed distance of one row to the separating hyperplane."""
-    return float(model.score_rows(row)[0])

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from submol import kernels, protocol
 from submol.cli import main, parse_range_set
 from submol.errors import ConfigError
 from submol.features import build_matrix, height_features, save_sparse, save_vocab
@@ -237,6 +238,30 @@ def test_train_with_kernel_wraps_model(smiles_file, tmp_path, capsys):
                  "--vocab", vocab, "--out", roc]) == 0
 
 
+@pytest.mark.filterwarnings("ignore::submol.kernels.ZeroRowWarning")
+def test_kernel_rows_are_computed_once_per_use(nitro_file, tmp_path, monkeypatch):
+    # a trial needs train x train and train x val; `train` needs train x train
+    calls = []
+    original = kernels.kernel_feature_rows
+
+    def counting(train, rows, kernel="cosine"):
+        calls.append((len(train), len(rows)))
+        return original(train, rows, kernel)
+
+    for module in (kernels, protocol):
+        monkeypatch.setattr(module, "kernel_feature_rows", counting)
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0-1")
+    flags = ["--features", features, "--vocab", vocab, "--algo", "rf",
+             "--trees", "3", "--kernel", "cosine"]
+    assert main(["evaluate", *flags, "--protocol", "kfold:3",
+                 "--out-metrics", str(tmp_path / "m.csv"),
+                 "--out-summary", str(tmp_path / "s.json")]) == 0
+    assert calls == [(20, 20), (20, 10)] * 3
+    calls.clear()
+    assert main(["train", *flags, "--model-out", str(tmp_path / "m.json")]) == 0
+    assert calls == [(30, 30)]
+
+
 # --- gram -------------------------------------------------------------------
 
 
@@ -356,6 +381,23 @@ def test_bad_config_value_is_exit_2(nitro_file, tmp_path, capsys):
     assert "bad value 'many'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [("train", "algo"), ("featurize", "mode")])
+def test_config_value_outside_choices_is_exit_2(nitro_file, tmp_path, capsys,
+                                               command, key):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: "bogus"}), encoding="utf-8")
+    if command == "train":
+        argv = ["train", "--features", features, "--vocab", vocab,
+                "--model-out", str(tmp_path / "m.json")]
+    else:
+        argv = ["featurize", "--input", nitro_file, "--format", "smiles",
+                "--out-features", features, "--out-vocab", vocab]
+    assert main(["--config", str(config), *argv]) == 2
+    assert f"bad value 'bogus' for config key '{key}'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.json")
+
+
 def test_config_must_be_json_object(smiles_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text("[1, 2]", encoding="utf-8")
@@ -406,6 +448,26 @@ def test_bad_protocol_is_exit_2(nitro_file, tmp_path, capsys):
                  "--out-summary", str(tmp_path / "s.json")])
     assert code == 2
     assert "cannot parse protocol" in capsys.readouterr().err
+
+
+def test_zero_denominator_protocol_is_exit_2(nitro_file, tmp_path, capsys):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    code = main(["evaluate", "--features", features, "--vocab", vocab,
+                 "--protocol", "shuffle:3:1/0",
+                 "--out-metrics", str(tmp_path / "m.csv"),
+                 "--out-summary", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "bad protocol 'shuffle:3:1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_train_without_threads_is_exit_2(nitro_file, tmp_path, capsys, threads):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    code = main(["train", "--features", features, "--vocab", vocab,
+                 "--trees", "2", "--threads", threads,
+                 "--model-out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 def test_pnet_with_kernel_is_exit_2(nitro_file, tmp_path, capsys):

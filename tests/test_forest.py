@@ -14,7 +14,6 @@ from submol.forest import (
     ForestModel,
     _best_split,
     _tree_scores,
-    forest_score,
     train_forest,
 )
 from submol.graph import parse_smiles
@@ -99,7 +98,7 @@ def test_model_averages_trees():
     ]
     model = ForestModel(cfg, 0, 1, trees)
     assert model.score_rows(np.array([[3.0]]))[0] == 0.5
-    assert forest_score(model, np.array([3.0])) == 0.5
+    assert model.score_rows(np.array([3.0]))[0] == 0.5
 
 
 def test_score_rows_checks_width():

@@ -18,7 +18,6 @@ from submol.ingest import (
     featurize_pairs,
     load_bursi,
     load_pairs,
-    resolve,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -122,7 +121,7 @@ def test_fetch_none_means_not_found(tmp_path):
 def test_protein_record_resolves_to_chain_graph(tmp_path):
     hook = CountingHook({"p1": FetchResult("p1", "MKWVT", "stub")})
     resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    record = resolve("p1", "protein", resolver)
+    record = resolver.resolve("p1", "protein")
     graph = record.to_graph()
     assert len(graph) == 5
     assert graph.nodes[0].label == "M"

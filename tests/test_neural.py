@@ -20,7 +20,6 @@ from submol.neural import (
     NetParams,
     _sigmoid,
     init_params,
-    mlp_score,
     net_forward,
     net_gradients,
     net_loss,
@@ -301,5 +300,5 @@ def test_score_rows_checks_width_and_single_scores():
     with pytest.raises(ValueError, match="features"):
         model.score_rows(np.ones((1, 5)))
     row = data.dense()[0]
-    assert mlp_score(model, row) == model.score_rows(row[None, :])[0]
-    assert 0.0 < mlp_score(model, row) < 1.0
+    assert model.score_rows(row)[0] == model.score_rows(row[None, :])[0]
+    assert 0.0 < model.score_rows(row)[0] < 1.0

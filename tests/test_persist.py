@@ -9,10 +9,9 @@ import pytest
 from submol.features import DatasetMatrix, build_matrix, height_features
 from submol.forest import ForestConfig, train_forest
 from submol.graph import parse_smiles
-from submol.kernels import kernel_feature_rows
+from submol.kernels import KernelizedModel, kernel_feature_rows
 from submol.neural import NetConfig, train_mlp, train_partitioned_net
 from submol.persist import (
-    KernelizedModel,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -121,6 +120,8 @@ def test_kernelized_round_trip():
     assert np.array_equal(restored.score_rows(data.X), model.score_rows(data.X))
     # scoring maps rows through similarities against the saved basis
     assert np.array_equal(model.score_rows(data.X), inner.score_rows(gram.X))
+    # like every model, it scores a single row given as a 1-D array
+    assert model.score_rows(data.dense()[0]) == model.score_rows(data.X[:1])
 
 
 def test_rejects_non_model_documents():

@@ -67,7 +67,10 @@ def test_parse_shuffle():
     assert fraction.describe()["trials"] == 5
 
 
-@pytest.mark.parametrize("text", ["bootstrap:3", "kfold", "kfold:3:9", "shuffle"])
+@pytest.mark.parametrize("text", [
+    "bootstrap:3", "kfold", "kfold:3:9", "shuffle", "kfold:x", "kfold:1",
+    "shuffle:0", "shuffle:-1", "shuffle:3:1/0", "shuffle:3:1", "shuffle:3:0",
+])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ConfigError, match="protocol"):
         Protocol.parse(text)
@@ -103,6 +106,8 @@ def test_pipeline_spec_validation():
         PipelineSpec("rf", cfg, threads=0)
     with pytest.raises(ConfigError, match="partitioned"):
         PipelineSpec("pnet", NetConfig(), kernel="cosine")
+    with pytest.raises(ConfigError, match="takes a SvmConfig, not a ForestConfig"):
+        PipelineSpec("svm", ForestConfig())
     PipelineSpec("pnet", NetConfig())  # raw features are fine
 
 

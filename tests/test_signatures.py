@@ -22,7 +22,6 @@ from submol.signatures import (
     canonical_signature,
     neighborhood_subgraph,
     node_token,
-    subgraph_mass,
 )
 
 
@@ -322,7 +321,6 @@ def test_subgraph_size_cap():
 def test_methane_mass():
     sig = canonical_signature(neighborhood_subgraph(parse_smiles("C"), 0, 0))
     assert sig.mass == pytest.approx(16.043, abs=1e-9)
-    assert subgraph_mass(sig) == sig.mass
 
 
 def test_acetic_acid_full_ball_mass():

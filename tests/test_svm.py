@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from submol.errors import ConfigError, TrainingError
 from submol.features import DatasetMatrix
-from submol.svm import SvmConfig, SvmModel, svm_score, train_svm
+from submol.svm import SvmConfig, SvmModel, train_svm
 
 
 def mat(rows, labels):
@@ -38,16 +38,16 @@ def test_two_point_problem_solved_exactly():
     assert model.sv_indices.tolist() == [0, 1]
     # scores are signed distances: the midpoint is on the plane, the
     # training points sit one unit away on either side
-    assert svm_score(model, np.array([0.0])) == pytest.approx(0.0, abs=1e-12)
-    assert svm_score(model, np.array([1.0])) == pytest.approx(1.0, abs=1e-12)
-    assert svm_score(model, np.array([-1.0])) == pytest.approx(-1.0, abs=1e-12)
+    assert model.score_rows(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert model.score_rows(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert model.score_rows(np.array([-1.0]))[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_scaled_two_point_margin():
     # points at +-2: the plane is still x=0, the distance doubles
     model = train_svm(mat([[2.0], [-2.0]], [1, -1]), SvmConfig())
-    assert svm_score(model, np.array([2.0])) == pytest.approx(2.0, abs=1e-9)
-    assert svm_score(model, np.array([0.0])) == pytest.approx(0.0, abs=1e-9)
+    assert model.score_rows(np.array([2.0]))[0] == pytest.approx(2.0, abs=1e-9)
+    assert model.score_rows(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_separable_blobs_margin_property():
