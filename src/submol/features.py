@@ -109,15 +109,20 @@ def pair_features(
         raise ValueError("distances must be a nonempty set of nonnegative integers")
     vector = FeatureVector()
     table = _signature_table(graph, hs)
-    dist = graph.distances()
-    n = len(graph)
+    # node pairs (a < b, in row-major order) grouped by their distance
+    pairs_at: dict[int, list[tuple[int, int]]] = {d: [] for d in ds if d > 0}
+    for a, row in enumerate(graph.distances().tolist()):
+        for b in range(a + 1, len(row)):
+            pairs = pairs_at.get(row[b])
+            if pairs is not None:
+                pairs.append((a, b))
     for d in ds:
         if d == 0:
             for h, sigs in table.items():
                 for sig in sigs:
                     vector.add(f"{h}|{sig.key}", sig.mass)
             continue
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if dist[a, b] == d]
+        pairs = pairs_at[d]
         for h in hs:
             sigs = table[h]
             for a, b in pairs:

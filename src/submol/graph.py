@@ -13,6 +13,7 @@ formal charge; edges carry a bond order.  Three front ends produce them:
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -70,7 +71,7 @@ class MolecularGraph:
 
     Edges are stored as ``(i, j, order)`` with ``i < j``.  Self loops and
     duplicate edges are rejected.  ``distances()`` returns (and caches) the
-    all-pairs hop-count table.
+    all-pairs hop-count table as a read-only array.
     """
 
     __slots__ = ("nodes", "edges", "name", "_adjacency", "_distances")
@@ -116,9 +117,14 @@ class MolecularGraph:
         return self._adjacency[i]
 
     def distances(self) -> np.ndarray:
-        """All-pairs shortest-path hop counts; unreachable pairs are inf."""
+        """All-pairs shortest-path hop counts; unreachable pairs are inf.
+
+        The table is computed once and shared, so it is read-only.
+        """
         if self._distances is None:
-            self._distances = all_pairs_distances(self)
+            dist = all_pairs_distances(self)
+            dist.setflags(write=False)
+            self._distances = dist
         return self._distances
 
 
@@ -129,9 +135,10 @@ def all_pairs_distances(graph: MolecularGraph) -> np.ndarray:
     diagonal is zero.
     """
     n = len(graph)
-    dist = np.full((n, n), np.inf)
+    rows = []
     for start in range(n):
-        dist[start, start] = 0.0
+        row = [math.inf] * n
+        row[start] = 0
         frontier = [start]
         d = 0
         while frontier:
@@ -139,11 +146,12 @@ def all_pairs_distances(graph: MolecularGraph) -> np.ndarray:
             nxt = []
             for u in frontier:
                 for v, _ in graph.neighbors(u):
-                    if dist[start, v] == np.inf:
-                        dist[start, v] = d
+                    if row[v] == math.inf:
+                        row[v] = d
                         nxt.append(v)
             frontier = nxt
-    return dist
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
 # --- SMILES ----------------------------------------------------------------

@@ -157,8 +157,9 @@ def save_gram(stream: TextIO, gram: GramMatrix) -> None:
     """Write the matrix: a header line with n, then n rows of n decimals."""
     n = len(gram.ids)
     stream.write(f"{n}\n")
+    line = " ".join(["%.17g"] * n) + "\n"
     for row in gram.values:
-        stream.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        stream.write(line % tuple(row.tolist()))
 
 
 def load_gram(stream: TextIO, ids: Sequence[str] | None = None) -> GramMatrix:

@@ -74,23 +74,38 @@ class Signature:
 
 
 def _refine(
-    colors: list,
+    colors: list[int],
+    classes: int,
     adjacency: list[list[tuple[int, int]]],
-) -> list[int]:
-    """Rank-compressed stable coloring; classes only ever split."""
-    ranks = {c: r for r, c in enumerate(sorted(set(colors)))}
-    colors = [ranks[c] for c in colors]
-    classes = len(ranks)
-    while True:
+) -> tuple[list[int], int]:
+    """Stable coloring reached from ``colors``; classes only ever split.
+
+    ``colors`` is rank-compressed (its values are ``0 .. classes - 1``) and
+    ``adjacency[v]`` lists ``(order * (n + 1), u)`` for every neighbor ``u``
+    of ``v``.  A neighbor is coded as the integer ``order * (n + 1) +
+    colors[u]``, which sorts exactly like the pair ``(order, colors[u])``
+    because every color is below ``n + 1``.  Each round ranks the vertices
+    by their color and the sorted codes of their neighbors; a vertex alone
+    in its class is placed by its color, so its neighbors are not coded.
+    Returns the rank-compressed coloring and its class count as soon as a
+    round splits no class or the partition is discrete.
+    """
+    n = len(colors)
+    while classes < n:
+        sizes = [0] * classes
+        for c in colors:
+            sizes[c] += 1
         sigs = [
-            (colors[v], tuple(sorted((o, colors[u]) for o, u in adjacency[v])))
-            for v in range(len(colors))
+            (c, tuple(sorted([w + colors[u] for w, u in nbrs])))
+            if sizes[c] > 1 else (c,)
+            for c, nbrs in zip(colors, adjacency)
         ]
         ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
         if len(ranks) == classes:
-            return colors
+            break
         colors = [ranks[s] for s in sigs]
         classes = len(ranks)
+    return colors, classes
 
 
 def _orbit(seeds: list[int], generators: list[dict[int, int]]) -> set[int]:
@@ -129,39 +144,45 @@ def canonical_key(
         raise SubgraphTooLargeError(
             f"subgraph has {n} nodes, more than the {MAX_SUBGRAPH_NODES} allowed"
         )
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} is not a node of the graph")
+    width = n + 1  # above every color, so neighbor codes sort like pairs
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, j, order in edges:
-        adjacency[i].append((order, j))
-        adjacency[j].append((order, i))
+        adjacency[i].append((order * width, j))
+        adjacency[j].append((order * width, i))
 
-    initial = [(v == root, labels[v]) for v in range(n)]
+    # initial colors: the labels of the other nodes in sorted order, then
+    # the root in a class of its own
+    kinds = set(labels)
+    if labels.count(labels[root]) == 1:
+        kinds.discard(labels[root])
+    ranks = {label: r for r, label in enumerate(sorted(kinds))}
+    initial = [ranks.get(label, 0) for label in labels]
+    initial[root] = len(ranks)
     # (serialization, node order) of the first leaf and of the best leaf
     first: tuple[str, list[int]] | None = None
     best: tuple[str, list[int]] | None = None
     automorphisms: list[dict[int, int]] = []
 
-    def serialize(order: list[int]) -> str:
-        pos = [0] * n
-        for p, v in enumerate(order):
-            pos[v] = p
-        node_part = ",".join(labels[v] for v in order)
-        edge_part = ",".join(
-            f"{a}-{b}:{o}"
-            for a, b, o in sorted(
-                (min(pos[i], pos[j]), max(pos[i], pos[j]), o) for i, j, o in edges
-            )
+    def serialize(pos: list[int]) -> tuple[str, list[int]]:
+        """Key text and node order of a leaf; ``pos[v]`` is v's position."""
+        order = [0] * n
+        for v, p in enumerate(pos):
+            order[p] = v
+        ends = sorted(
+            [(pos[i], pos[j], o) if pos[i] < pos[j] else (pos[j], pos[i], o)
+             for i, j, o in edges]
         )
-        return f"@{pos[root]};{node_part};{edge_part}"
+        node_part = ",".join([labels[v] for v in order])
+        edge_part = ",".join([f"{a}-{b}:{o}" for a, b, o in ends])
+        return f"@{pos[root]};{node_part};{edge_part}", order
 
-    def search(colors: list[int], path: tuple[int, ...]) -> None:
+    def search(colors: list[int], classes: int, path: tuple[int, ...]) -> None:
         nonlocal first, best
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        ambiguous = [c for c, members in cells.items() if len(members) > 1]
-        if not ambiguous:
-            order = sorted(range(n), key=lambda v: colors[v])
-            candidate = serialize(order)
+        if classes == n:
+            # a discrete coloring is a permutation: each color is a position
+            candidate, order = serialize(colors)
             if first is None:
                 first = best = (candidate, order)
                 return
@@ -175,7 +196,10 @@ def canonical_key(
             if candidate < best[0]:
                 best = (candidate, order)
             return
-        target = min(ambiguous)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = min(c for c, members in cells.items() if len(members) > 1)
         searched: list[int] = []
         for v in cells[target]:
             # automorphisms fixing the path map this search node onto itself,
@@ -185,11 +209,12 @@ def canonical_key(
             ):
                 continue
             searched.append(v)
-            branched = list(colors)
-            branched[v] = -1  # individualize: -1 sorts ahead of every rank
-            search(_refine(branched, adjacency), path + (v,))
+            # individualize: v takes color 0 and every other rank moves up
+            branched = [c + 1 for c in colors]
+            branched[v] = 0
+            search(*_refine(branched, classes + 1, adjacency), path + (v,))
 
-    search(_refine(list(initial), adjacency), ())
+    search(*_refine(initial, len(ranks) + 1, adjacency), ())
     assert best is not None
     return best[0]
 
@@ -197,13 +222,30 @@ def canonical_key(
 def neighborhood_subgraph(
     graph: MolecularGraph, root: int, height: int
 ) -> RootedSubgraph:
-    """Induced subgraph of every node within ``height`` hops of ``root``."""
+    """Induced subgraph of every node within ``height`` hops of ``root``.
+
+    The ball is grown breadth first from ``root``, one hop per level, and
+    stops early once a level reaches no new node, so no distance table is
+    built.  Members keep their order in ``graph`` and edges the order of
+    ``graph.edges``.
+    """
     if not 0 <= root < len(graph):
         raise ValueError(f"root {root} is not a node of the graph")
     if height < 0:
         raise ValueError("height must be nonnegative")
-    dist = graph.distances()[root]
-    members = [v for v in range(len(graph)) if dist[v] <= height]
+    ball = {root}
+    frontier = [root]
+    for _ in range(height):
+        reached = []
+        for u in frontier:
+            for v, _order in graph.neighbors(u):
+                if v not in ball:
+                    ball.add(v)
+                    reached.append(v)
+        if not reached:
+            break
+        frontier = reached
+    members = sorted(ball)
     local = {v: k for k, v in enumerate(members)}
     edges = tuple(
         (local[i], local[j], o)

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from submol.features import height_features
+from submol.features import height_features, pair_features
 from submol.graph import (
     AROMATIC_BOND,
     AtomNode,
@@ -306,6 +306,20 @@ def test_distances_match_dijkstra_free_bfs_oracle():
                 for j in range(n):
                     ref[i, j] = min(ref[i, j], ref[i, k] + ref[k, j])
         assert np.array_equal(all_pairs_distances(graph), ref)
+
+
+def test_cached_distances_are_read_only():
+    # the table is cached and shared, so a write through one caller would
+    # change the pair features every later caller computes
+    graph = parse_smiles("CCCC")
+    before = pair_features(graph, [0], [1]).entries
+    with pytest.raises(ValueError, match="read-only"):
+        graph.distances()[0, 1] = 7
+    assert graph.distances()[0, 1] == 1.0
+    assert pair_features(graph, [0], [1]).entries == before
+    assert sum(before.values()) == 3
+    # the function itself still hands out a fresh, writable table
+    assert all_pairs_distances(graph).flags.writeable
 
 
 def test_disconnected_sdf_distances_are_infinite():

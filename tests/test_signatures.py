@@ -6,13 +6,17 @@ the lexicographically smallest serialization.  The sampled completeness test
 compares key equality against an exhaustive-permutation isomorphism oracle.
 """
 
+import hashlib
+import itertools
 import random
 
 import pytest
 from helpers import permuted_graph, random_labeled_graph, root_preserving_isomorphic
 
+from submol import graph as graph_module
 from submol import signatures
-from submol.graph import AtomNode, MolecularGraph, parse_smiles
+from submol.features import height_features
+from submol.graph import AtomNode, MolecularGraph, all_pairs_distances, parse_smiles
 from submol.signatures import (
     MAX_SUBGRAPH_NODES,
     RootedSubgraph,
@@ -173,6 +177,35 @@ def test_regular_graph_needs_tie_breaking():
     assert canonical_key(labels, square, 0) != canonical_key(labels, path, 0)
 
 
+def pinned_keys():
+    """Every rooted 2-label graph with <= 4 nodes, then 2,000 drawn on 5."""
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [(i, j, 1) for b, (i, j) in enumerate(pairs) if mask >> b & 1]
+            for lm in range(1 << n):
+                labels = ["N" if lm >> v & 1 else "C" for v in range(n)]
+                for root in range(n):
+                    yield canonical_key(labels, edges, root)
+    rnd = random.Random(505)
+    pairs = list(itertools.combinations(range(5), 2))
+    for _ in range(2000):
+        edges = [(i, j, rnd.choice((1, 2, 4))) for i, j in pairs if rnd.random() < 0.5]
+        labels = [rnd.choice("CN") for _ in range(5)]
+        yield canonical_key(labels, edges, rnd.randrange(5))
+
+
+def test_key_text_is_pinned():
+    # Key text is what vocabulary and feature files store, so it must not
+    # drift even where a change keeps keys in bijection with isomorphism
+    # classes.  The digest was recorded before the refinement used integer
+    # neighbor codes.
+    keys = list(pinned_keys())
+    assert len(keys) == 6306
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == "b3f3fa9c823c4c757785d0980310d82fb4179e6fe0801c4697671cdbc1456fa4"
+
+
 # --- symmetric graphs and search size --------------------------------------
 
 TETRA_TERT_BUTYLMETHANE = "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
@@ -286,6 +319,34 @@ def test_neighborhood_is_induced():
     assert len(sub.edges) == 3
 
 
+def test_neighborhood_matches_distance_table():
+    rnd = random.Random(31)
+    for _ in range(25):
+        graph = random_labeled_graph(rnd, max_nodes=9)
+        dist = all_pairs_distances(graph)
+        for height in range(4):
+            for root in range(len(graph)):
+                members = [v for v in range(len(graph)) if dist[root, v] <= height]
+                local = {v: k for k, v in enumerate(members)}
+                edges = tuple(
+                    (local[i], local[j], o)
+                    for i, j, o in graph.edges
+                    if i in local and j in local
+                )
+                nodes = tuple(graph.nodes[v] for v in members)
+                expected = RootedSubgraph(nodes, edges, local[root], height)
+                assert neighborhood_subgraph(graph, root, height) == expected
+
+
+def test_height_features_build_no_distance_table(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("height mode asked for all-pairs distances")
+
+    monkeypatch.setattr(graph_module, "all_pairs_distances", refuse)
+    vector = height_features(parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), [0, 1, 2, 3])
+    assert vector.total() == 4 * 13
+
+
 def test_neighborhood_argument_validation():
     graph = parse_smiles("CC")
     with pytest.raises(ValueError, match="root"):
@@ -301,6 +362,14 @@ def test_benzene_all_roots_equivalent():
         for v in range(6)
     }
     assert len(keys) == 1
+
+
+@pytest.mark.parametrize("root", [-1, 2])
+def test_key_root_must_be_a_node(root):
+    # Python indexes a negative root from the end, which would key the
+    # graph with no node refined as its root
+    with pytest.raises(ValueError, match="root"):
+        canonical_key(["C", "N"], [(0, 1, 1)], root)
 
 
 def test_subgraph_size_cap():
