@@ -10,8 +10,9 @@ interface, so they are interchangeable inside the evaluation protocol:
 * a partitioned net (4 hidden units) whose input connections are masked by
   subgraph mass: the feature columns are sorted by mass and cut into three
   bands, and each hidden unit only sees one or two adjacent bands,
-* a soft-margin SVM solved by deterministic pairwise dual optimization,
-  with an asymmetric box (factor j) for the positive class.
+* a soft-margin SVM solved by second-order working-set selection (each
+  step moves the pair of multipliers that most improves the dual), with an
+  asymmetric box (factor j) for the positive class.
 """
 
 import random

@@ -32,7 +32,7 @@ from .features import (
 )
 from .forest import ForestConfig
 from .graph import ParseError, parse_sdf, parse_smiles
-from .ingest import IngestError, Resolver, featurize_pairs, load_pairs
+from .ingest import IngestError, Resolver, featurize_pairs, label_records, load_pairs
 from .kernels import KernelError, gram_matrix, save_gram
 from .neural import NetConfig
 from .persist import load_model, save_model
@@ -306,25 +306,14 @@ def _featurize_molecules(args, heights, distances):
                 skipped += 1
     else:  # sdf
         with open(args.input, encoding="utf-8", errors="replace") as handle:
-            records, skips = parse_sdf(handle)
-        for skip in skips:
-            print(f"skipping record {skip.index}: {skip.reason}", file=sys.stderr)
-        skipped += len(skips)
-        for graph, props in records:
-            if args.label_key is not None:
-                if args.label_key not in props:
-                    print(
-                        f"skipping {graph.name or '<unnamed>'}: no "
-                        f"{args.label_key!r} item",
-                        file=sys.stderr,
-                    )
-                    skipped += 1
-                    continue
-                value = props[args.label_key].strip()
-                labels.append(1 if value == (args.positive_value or "") else -1)
-            else:
-                labels.append(1)
-            vectors.append(featurize(graph))
+            labeled = label_records(
+                parse_sdf(handle), args.label_key, args.positive_value or ""
+            )
+        for index, reason in labeled.skipped:
+            print(f"skipping record {index}: {reason}", file=sys.stderr)
+        skipped += len(labeled.skipped)
+        vectors.extend(featurize(graph) for graph in labeled.graphs)
+        labels.extend(labeled.labels)
     if not vectors:
         raise ParseError("no usable molecules in the input")
     return vectors, labels, skipped

@@ -10,6 +10,7 @@ whitespace) is rejected rather than trusted, and nothing is cached for it.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
@@ -171,26 +172,43 @@ class LabeledGraphs:
         return sum(1 for y in self.labels if y == -1)
 
 
+def label_records(
+    parsed: tuple[list, list], label_key: str | None, positive_value: str
+) -> LabeledGraphs:
+    """Label the records of a :func:`parse_sdf` result.
+
+    Records whose ``label_key`` item equals ``positive_value`` (after
+    stripping) are +1, all others -1; without a ``label_key`` every record
+    is +1.  Records that failed to parse or lack the label are skipped with
+    a reason, each under its index among all records of the file.
+    """
+    records, skipped_records = parsed
+    out = LabeledGraphs([], [])
+    out.skipped.extend((s.index, s.reason) for s in skipped_records)
+    failed = {s.index for s in skipped_records}
+    indices = (index for index in itertools.count() if index not in failed)
+    for index, (graph, props) in zip(indices, records):
+        if label_key is None:
+            label = 1
+        elif label_key in props:
+            label = 1 if props[label_key].strip() == positive_value else -1
+        else:
+            out.skipped.append((index, f"missing label item {label_key!r}"))
+            continue
+        out.graphs.append(graph)
+        out.labels.append(label)
+    return out
+
+
 def load_bursi(
     source: TextIO | str, label_key: str, positive_value: str
 ) -> LabeledGraphs:
     """Load an SDF where a data item carries the class label.
 
-    Records whose ``label_key`` item equals ``positive_value`` (after
-    stripping) are +1, all others -1.  Records that fail to parse or lack
-    the label are skipped with a reason; an entirely unusable file raises
-    :class:`IngestError`.
+    Labels and skips follow :func:`label_records`; an entirely unusable file
+    raises :class:`IngestError`.
     """
-    records, skipped_records = parse_sdf(source)
-    out = LabeledGraphs([], [])
-    out.skipped.extend((s.index, s.reason) for s in skipped_records)
-    for pos, (graph, props) in enumerate(records):
-        if label_key not in props:
-            out.skipped.append((pos, f"missing label item {label_key!r}"))
-            continue
-        value = props[label_key].strip()
-        out.graphs.append(graph)
-        out.labels.append(1 if value == positive_value else -1)
+    out = label_records(parse_sdf(source), label_key, positive_value)
     if not out.graphs:
         raise IngestError("no usable records in the structure-data file")
     return out

@@ -144,6 +144,21 @@ def test_featurize_pairs(tmp_path, capsys):
     assert any("\ttarget:" in line for line in vocab_lines)
 
 
+def test_svm_trains_on_raw_pair_counts_at_defaults(tmp_path, capsys):
+    features = str(tmp_path / "f.txt")
+    vocab = str(tmp_path / "v.txt")
+    assert main([
+        "featurize", "--input", os.path.join(DATA, "interaction_200.csv"),
+        "--format", "pairs", "--heights", "1",
+        "--out-features", features, "--out-vocab", vocab,
+    ]) == 0
+    code = main([
+        "train", "--features", features, "--vocab", vocab, "--algo", "svm",
+        "--model-out", str(tmp_path / "model.json"),
+    ])
+    assert code == 0, capsys.readouterr().err
+
+
 def test_featurize_pair_mode_distances(smiles_file, tmp_path):
     code, features, _ = featurize(
         smiles_file, str(tmp_path), "--mode", "pair",

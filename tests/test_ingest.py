@@ -6,7 +6,7 @@ import os
 import pytest
 
 from submol.features import height_features, pair_features
-from submol.graph import parse_smiles
+from submol.graph import parse_sdf, parse_smiles
 from submol.ingest import (
     FetchResult,
     IngestError,
@@ -16,6 +16,7 @@ from submol.ingest import (
     StructureRecord,
     featurize_pair,
     featurize_pairs,
+    label_records,
     load_bursi,
     load_pairs,
 )
@@ -194,6 +195,36 @@ def test_load_bursi_nonpositive_values_are_negative():
     with open(os.path.join(DATA, "bursi_mini.sdf"), encoding="utf-8") as handle:
         out = load_bursi(handle, "Ames", "nonmutagen")
     assert out.labels == [-1, 1, -1, 1]
+
+
+METHANE_MOLBLOCK = (
+    "methane\n  submoltest\n\n"
+    "  1  0  0  0  0  0  0  0  0  0999 V2000\n"
+    "    0.0000    0.0000    0.0000 C   0  0  0  0  0  0  0  0  0  0  0  0\n"
+    "M  END\n"
+)
+
+
+def test_missing_label_skip_carries_its_record_index():
+    # record 0 fails to parse, record 1 is labeled, record 2 lacks the item:
+    # the skip must name record 2, not its position among parsed records
+    text = (
+        "junk\n$$$$\n"
+        + METHANE_MOLBLOCK + "> <Ames>\nmutagen\n\n$$$$\n"
+        + METHANE_MOLBLOCK + "$$$$\n"
+    )
+    out = load_bursi(text, "Ames", "mutagen")
+    assert out.labels == [1]
+    assert [index for index, _ in out.skipped] == [0, 2]
+    assert out.skipped[1] == (2, "missing label item 'Ames'")
+
+
+def test_label_records_without_a_key_labels_everything_positive():
+    with open(os.path.join(DATA, "bursi_mini.sdf"), encoding="utf-8") as handle:
+        out = label_records(parse_sdf(handle), None, "")
+    assert [g.name for g in out.graphs] == ["m1", "m2", "m3", "m4-unlabeled", "m6"]
+    assert out.labels == [1] * 5
+    assert [index for index, _ in out.skipped] == [4]
 
 
 # --- interaction pairs ------------------------------------------------------

@@ -1,16 +1,23 @@
-"""SVM tests: exact two-point dual solution, box bounds, kernels, errors.
+"""SVM tests: exact two-point dual solution, box bounds, kernels, optimality
+against an independent QP solver, errors.
 
 The two-point case has a closed-form dual optimum (alpha = 0.5 for both
 points, zero bias, unit weight norm) that the solver must hit exactly.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import minimize
 
 from submol.errors import ConfigError, TrainingError
-from submol.features import DatasetMatrix
+from submol.features import DatasetMatrix, build_matrix
+from submol.ingest import featurize_pairs, load_pairs
 from submol.svm import SvmConfig, SvmModel, train_svm
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def mat(rows, labels):
@@ -25,6 +32,25 @@ def blobs(rng, n_each=12, gap=2.0):
     X = np.vstack([pos, neg])
     y = np.array([1] * n_each + [-1] * n_each)
     return mat(X, y)
+
+
+def full_alphas(model, n):
+    alphas = np.zeros(n)
+    alphas[model.sv_indices] = model.alphas
+    return alphas
+
+
+def kkt_residual(model, X, y):
+    """Largest KKT violation of the returned model over its training rows."""
+    cfg = model.config
+    box = np.where(y > 0, cfg.pos_cost_factor, 1.0) * cfg.C
+    alphas = full_alphas(model, len(y))
+    margin = y * model.score_rows(X) * model.norm_w - 1.0
+    viol = np.maximum(
+        np.where(alphas < box * (1.0 - 1e-8), -margin, 0.0),
+        np.where(alphas > box * 1e-8, margin, 0.0),
+    )
+    return float(viol.max())
 
 
 # --- exact closed-form case -------------------------------------------------
@@ -138,6 +164,74 @@ def test_precomputed_needs_square_matrix():
     data = mat(np.ones((3, 2)), [1, -1, 1])
     with pytest.raises(ConfigError, match="square"):
         train_svm(data, SvmConfig(kernel="precomputed"))
+
+
+# --- optimality against an independent solver -------------------------------
+
+
+def oracle_problem(seed):
+    rng = np.random.default_rng(seed)
+    n = 12 + 2 * seed
+    y = np.where(np.arange(n) % 3 == 0, 1, -1)
+    X = rng.normal(size=(n, 3)) + 0.8 * y[:, None]  # overlapping classes
+    cfg = SvmConfig(
+        kernel=("linear", "rbf")[seed % 2],
+        C=(0.5, 2.0, 8.0)[seed % 3],
+        pos_cost_factor=(1.0, 2.0)[(seed // 2) % 2],
+        gamma=0.5,
+        tol=1e-6,
+    )
+    return X, y, cfg
+
+
+def reference_dual(K, y, box):
+    """Maximize the SVM dual with SLSQP, a general constrained solver."""
+    Q = K * np.outer(y, y)
+    result = minimize(
+        lambda a: 0.5 * a @ Q @ a - a.sum(),
+        np.zeros(len(y)),
+        jac=lambda a: Q @ a - 1.0,
+        method="SLSQP",
+        bounds=list(zip(np.zeros(len(y)), box)),
+        constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+        options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    assert result.success, result.message
+    return -result.fun
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_dual_optimum_matches_independent_solver(seed):
+    X, y, cfg = oracle_problem(seed)
+    model = train_svm(mat(X, y), cfg)
+    if cfg.kernel == "linear":
+        K = X @ X.T
+    else:
+        K = np.exp(-cfg.gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    box = np.where(y > 0, cfg.pos_cost_factor * cfg.C, cfg.C)
+    alphas = full_alphas(model, len(y))
+    coef = alphas * y
+    dual = alphas.sum() - 0.5 * coef @ K @ coef
+    assert dual == pytest.approx(reference_dual(K, y.astype(float), box), rel=1e-8)
+    # the residual is recomputed from scratch, so allow for rounding only
+    assert kkt_residual(model, X, y) <= cfg.tol + 1e-12
+
+
+def interaction_features():
+    path = os.path.join(DATA, "interaction_200.csv")
+    with open(path, encoding="utf-8", newline="") as handle:
+        vectors, labels, ids = featurize_pairs(load_pairs(handle), [1])
+    return build_matrix(vectors, labels, ids=ids)
+
+
+def test_default_config_converges_on_raw_count_features():
+    # wide integer count rows with large, uneven norms: the defaults must
+    # still reach the tolerance rather than hit the step cap
+    data = interaction_features()
+    assert data.X.shape == (200, 2225)
+    model = train_svm(data, SvmConfig())
+    y = np.asarray(data.y, dtype=float)
+    assert kkt_residual(model, data.dense(), y) <= model.config.tol + 1e-9
 
 
 # --- failure modes ----------------------------------------------------------
