@@ -15,6 +15,7 @@ apart in concatenated vectors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -144,8 +145,9 @@ class FeatureVocabulary:
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        order = sorted(range(len(self.keys)), key=lambda i: (self.masses[i], self.keys[i]))
-        if order != list(range(len(self.keys))):
+        # each (mass, key) against its successor; the set check finds ties
+        following = zip(self.masses[1:], self.keys[1:])
+        if any(map(operator.gt, zip(self.masses, self.keys), following)):
             raise ValueError("vocabulary keys are not in (mass, key) order")
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("vocabulary contains duplicate keys")
@@ -159,10 +161,48 @@ class FeatureVocabulary:
 
     def blocks(self) -> dict[tuple[str, int, int], np.ndarray]:
         """Column indices grouped by (namespace, height, distance)."""
-        groups: dict[tuple[str, int, int], list[int]] = {}
-        for i, key in enumerate(self.keys):
-            groups.setdefault(parse_feature_key(key), []).append(i)
-        return {b: np.asarray(cols) for b, cols in sorted(groups.items())}
+        labels, ids = self._block_table()
+        return {b: np.flatnonzero(ids == i) for i, b in enumerate(labels)}
+
+    def block_ids(self) -> np.ndarray:
+        """Block number of every column (read-only).
+
+        Blocks are numbered from 0 in sorted (namespace, height, distance)
+        order, so ``block_ids().max() + 1`` is the number of blocks.  The
+        keys are parsed once per vocabulary.
+        """
+        return self._block_table()[1]
+
+    def restrict(self, columns: np.ndarray) -> "FeatureVocabulary":
+        """Vocabulary of the given ascending ``columns`` only.
+
+        The block map is taken from this vocabulary's rather than parsed
+        again, and renumbered over the blocks that still have a column.
+        """
+        columns = np.asarray(columns, dtype=np.intp)
+        vocab = FeatureVocabulary(
+            tuple(self.keys[i] for i in columns),
+            tuple(self.masses[i] for i in columns),
+        )
+        labels, ids = self._block_table()
+        kept, ids = np.unique(ids[columns], return_inverse=True)
+        vocab._set_block_table(tuple(labels[b] for b in kept), ids)
+        return vocab
+
+    def _block_table(self) -> tuple[tuple[tuple[str, int, int], ...], np.ndarray]:
+        table = self.__dict__.get("_blocks")
+        if table is None:
+            parsed = [parse_feature_key(key) for key in self.keys]
+            labels = sorted(set(parsed))
+            number = {b: i for i, b in enumerate(labels)}
+            ids = np.fromiter((number[b] for b in parsed), np.intp, len(parsed))
+            table = self._set_block_table(tuple(labels), ids)
+        return table
+
+    def _set_block_table(self, labels, ids: np.ndarray):
+        ids.flags.writeable = False
+        object.__setattr__(self, "_blocks", (labels, ids))
+        return labels, ids
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[FeatureVector]) -> "FeatureVocabulary":
@@ -180,8 +220,9 @@ class DatasetMatrix:
     """Row-per-entity count matrix with labels and an optional vocabulary.
 
     ``X`` is sparse CSR (or a dense array for derived representations such
-    as kernel similarity rows, in which case ``vocab`` is None).  Labels are
-    strictly +1/-1.
+    as kernel similarity rows, in which case ``vocab`` is None).  The
+    kernels read CSR rows as they are; the forest, the SVM and the nets
+    still densify them through :meth:`dense`.  Labels are strictly +1/-1.
     """
 
     X: sp.csr_matrix | np.ndarray

@@ -27,7 +27,7 @@ from .evaluate import (
     kfold_indices,
     shuffle_split_indices,
 )
-from .features import DatasetMatrix, FeatureVocabulary
+from .features import DatasetMatrix
 from .forest import ForestConfig, train_forest
 from .kernels import KernelizedModel, kernel_feature_rows
 from .neural import NetConfig, train_mlp, train_partitioned_net
@@ -155,10 +155,7 @@ def _restrict_to_training_vocab(
     if train.vocab is None:
         return train, val
     active = _active_columns(train.X)
-    vocab = FeatureVocabulary(
-        tuple(train.vocab.keys[i] for i in active),
-        tuple(train.vocab.masses[i] for i in active),
-    )
+    vocab = train.vocab.restrict(active)
     return (
         DatasetMatrix(train.X[:, active], train.y, train.ids, vocab),
         DatasetMatrix(val.X[:, active], val.y, val.ids, vocab),

@@ -9,11 +9,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from submol.features import DatasetMatrix, FeatureVocabulary, build_matrix, height_features
+from submol import kernels
+from submol.features import (
+    DatasetMatrix,
+    FeatureVocabulary,
+    build_matrix,
+    height_features,
+    parse_feature_key,
+)
+from submol.forest import ForestConfig, train_forest
 from submol.graph import parse_smiles
 from submol.kernels import (
     GramMatrix,
     KernelError,
+    KernelizedModel,
     ZeroRowWarning,
     cosine_kernel,
     gram_matrix,
@@ -158,6 +167,14 @@ def test_nspdk_rows_require_vocab():
         kernel_feature_rows(data, data, "nspdk")
 
 
+def test_nspdk_rejects_an_empty_vocabulary():
+    empty = DatasetMatrix(
+        sp.csr_matrix((2, 0)), np.array([1, -1]), ("0", "1"), FeatureVocabulary((), ())
+    )
+    with pytest.raises(KernelError, match="empty"):
+        kernel_feature_rows(empty, empty, "nspdk")
+
+
 def test_nspdk_rejects_mismatched_vocabs():
     va = FeatureVocabulary(("0|a", "0|b"), (1.0, 2.0))
     vb = FeatureVocabulary(("0|a", "0|c"), (1.0, 2.0))
@@ -187,6 +204,163 @@ def test_zero_row_in_matrix_warns_and_gives_zero_similarity():
     assert gram.values[0, 0] == 0.0
     assert gram.values[0, 1] == 0.0
     assert gram.values[1, 1] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_stored_zero_warns_like_an_empty_row():
+    # row 0 stores one explicit 0.0: it has no nonzero value, so it warns
+    X = sp.csr_matrix(([0.0, 1.0, 1.0], ([0, 1, 1], [0, 0, 1])), shape=(2, 2))
+    data = DatasetMatrix(X, np.array([1, -1]), ("0", "1"), None)
+    assert data.X.nnz == 3
+    with pytest.warns(ZeroRowWarning):
+        gram = gram_matrix(data, "cosine")
+    assert not np.isnan(gram.values).any()
+    assert gram.values[0].tolist() == [0.0, 0.0]
+
+
+def test_stored_zeros_in_an_empty_block_give_no_nan():
+    vocab = FeatureVocabulary(("0|a", "0|b", "1|c", "1|d"), (1.0, 2.0, 3.0, 4.0))
+    # row 0 stores a 0.0 in block (height 1), where it has nothing else
+    X = sp.csr_matrix(
+        ([1.0, 0.0, 2.0, 1.0, 3.0], ([0, 0, 1, 1, 1], [0, 2, 1, 2, 3])),
+        shape=(2, 4),
+    )
+    stored = DatasetMatrix(X, np.array([1, -1]), ("0", "1"), vocab)
+    clean = X.copy()
+    clean.eliminate_zeros()
+    assert clean.nnz == X.nnz - 1
+    cleaned = DatasetMatrix(clean, stored.y, stored.ids, vocab)
+    for kernel in ("cosine", "nspdk"):
+        got = kernel_feature_rows(stored, stored, kernel)
+        assert not np.isnan(got).any()
+        assert np.array_equal(got, kernel_feature_rows(cleaned, cleaned, kernel))
+    assert gram_matrix(stored, "nspdk").values[0, 0] == 0.5
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("kernel rows must not be densified")
+
+
+def test_kernels_do_not_densify(monkeypatch):
+    vectors = [
+        height_features(parse_smiles(s), [0, 1])
+        for s in ("CCO", "CCCO", "CCN", "CCC", "CCCC", "CC")
+    ]
+    data = build_matrix(vectors, [1, 1, 1, -1, -1, -1])
+    dense = data.X.toarray()
+    blocks = [cols for _, cols in sorted(data.vocab.blocks().items())]
+    rows = kernel_feature_rows(data, data, "cosine")
+    inner = train_forest(
+        DatasetMatrix(rows, data.y, data.ids, None), ForestConfig(trees=4), seed=2
+    )
+    model = KernelizedModel("cosine", data, inner)
+    expected_scores = inner.score_rows(rows)
+    monkeypatch.setattr(DatasetMatrix, "dense", _refuse)
+    monkeypatch.setattr(kernels, "scoring_rows", _refuse, raising=False)
+    probe = data.subset(np.array([4, 0]))
+    for kernel in ("cosine", "nspdk"):
+        got = kernel_feature_rows(data, probe, kernel)
+        for i, r in enumerate((4, 0)):
+            for j in range(len(data)):
+                expected = (
+                    cosine_kernel(dense[r], dense[j])
+                    if kernel == "cosine"
+                    else nspdk_kernel(dense[r], dense[j], blocks)
+                )
+                assert got[i, j] == pytest.approx(expected, abs=1e-12)
+    assert np.array_equal(model.score_rows(data.X), expected_scores)
+
+
+def _random_blocked_data(rnd, n_rows, n_cols, n_blocks):
+    """Count rows over randomly interleaved blocks, with empty rows and an
+    empty block, plus the vocabulary's blocks parsed from scratch."""
+    labels = [("d" if b % 2 else "t", b // 2 % 3, b // 6) for b in range(n_blocks)]
+    keys = []
+    for c in range(n_cols):
+        ns, h, d = labels[rnd.randrange(n_blocks)]
+        keys.append(f"{ns}:{h}|{d}|s{c:04d}|s{c:04d}")
+    vocab = FeatureVocabulary(tuple(keys), tuple(float(c) for c in range(n_cols)))
+    # the last block gets no value in any row
+    empty = {c for c, k in enumerate(keys) if parse_feature_key(k) == labels[-1]}
+    dense = np.zeros((n_rows, n_cols))
+    for r in range(n_rows):
+        if r == 1 or rnd.random() < 0.2:
+            continue
+        for c in rnd.sample(range(n_cols), rnd.randrange(1, n_cols // 2)):
+            if c not in empty:
+                dense[r, c] = rnd.randrange(1, 6)
+    return dense, vocab
+
+
+def _parsed_blocks(vocab):
+    groups = {}
+    for c, key in enumerate(vocab.keys):
+        groups.setdefault(parse_feature_key(key), []).append(c)
+    return [np.asarray(cols) for _, cols in sorted(groups.items())]
+
+
+def _check_against_oracles(train, rows, dense_train, dense_rows, blocks):
+    for kernel in ("cosine", "nspdk"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroRowWarning)
+            got = kernel_feature_rows(train, rows, kernel)
+            for i, x in enumerate(dense_rows):
+                for j, y in enumerate(dense_train):
+                    expected = (
+                        cosine_kernel(x, y)
+                        if kernel == "cosine"
+                        else nspdk_kernel(x, y, blocks)
+                    )
+                    assert abs(got[i, j] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_rows_match_oracles_and_gram_is_symmetric(seed):
+    rnd = random.Random(seed)
+    dense, vocab = _random_blocked_data(rnd, 14, 40, 7)
+    data = DatasetMatrix(
+        sp.csr_matrix(dense), np.ones(len(dense), dtype=int),
+        tuple(str(i) for i in range(len(dense))), vocab,
+    )
+    blocks = _parsed_blocks(vocab)
+    assert len(blocks) == 7
+    train, rows = data.subset(np.arange(9)), data.subset(np.arange(9, 14))
+    _check_against_oracles(train, rows, dense[:9], dense[9:], blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroRowWarning)
+        for kernel in ("cosine", "nspdk"):
+            G = gram_matrix(data, kernel).values
+            assert np.array_equal(G, G.T)
+    # the nspdk diagonal is each row's share of non-empty blocks
+    share = [sum(dense[r, cols].any() for cols in blocks) / 7 for r in range(14)]
+    assert np.abs(np.diag(G) - share).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restricted_vocabulary_counts_only_the_blocks_it_holds(seed):
+    from submol.protocol import _restrict_to_training_vocab
+
+    rnd = random.Random(100 + seed)
+    dense, vocab = _random_blocked_data(rnd, 12, 40, 6)
+    # the training rows never touch block 0, which the trial then drops
+    dropped = _parsed_blocks(vocab)[0]
+    dense[:8, dropped] = 0.0
+    dense[8, dropped] = 1.0
+    data = DatasetMatrix(
+        sp.csr_matrix(dense), np.ones(len(dense), dtype=int),
+        tuple(str(i) for i in range(len(dense))), vocab,
+    )
+    train, val = _restrict_to_training_vocab(
+        data.subset(np.arange(8)), data.subset(np.arange(8, 12))
+    )
+    restricted = train.vocab
+    blocks = _parsed_blocks(restricted)
+    assert len(blocks) < len(_parsed_blocks(vocab))
+    fresh = FeatureVocabulary(restricted.keys, restricted.masses)
+    assert np.array_equal(restricted.block_ids(), fresh.block_ids())
+    assert int(restricted.block_ids().max()) + 1 == len(blocks)
+    _check_against_oracles(
+        train, val, train.X.toarray(), val.X.toarray(), blocks
+    )
 
 
 def test_nonzero_matrix_does_not_warn():
