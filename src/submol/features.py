@@ -221,8 +221,9 @@ class DatasetMatrix:
 
     ``X`` is sparse CSR (or a dense array for derived representations such
     as kernel similarity rows, in which case ``vocab`` is None).  The
-    kernels read CSR rows as they are; the forest, the SVM and the nets
-    still densify them through :meth:`dense`.  Labels are strictly +1/-1.
+    kernels and the forest read the sparse rows as they are; the SVM and
+    the nets still densify them through :meth:`dense`.  Labels are strictly
+    +1/-1.
     """
 
     X: sp.csr_matrix | np.ndarray

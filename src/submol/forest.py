@@ -3,23 +3,32 @@
 Each tree trains on a bootstrap sample (n draws with replacement) and grows
 until its leaves are pure or indivisible; no depth or size pruning.  Splits
 consider a fresh random feature subset of ceil(sqrt(F)) columns, scoring
-thresholds placed midway between consecutive distinct sorted values; exact
-score ties go to the lowest column index, then the lowest threshold.  A
-tree's leaf stores the positive fraction of its training rows, and the
-forest scores a row by averaging the leaf values the row reaches.
+thresholds placed midway between consecutive distinct values; exact score
+ties go to the lowest column index, then the lowest threshold.  A tree's
+leaf stores the positive fraction of its training rows, and the forest
+scores a row by averaging the leaf values the row reaches.
+
+Nothing densifies.  A tree keeps its bootstrap rows as one CSC matrix with
+each column's entries sorted by value.  A node's split search reads only the
+stored entries of its sampled columns that fall in the node's rows; the rows
+a column does not store form one block of zeros, sorted among the stored
+values by its value 0.  Scoring reads one CSC column of the input per
+internal node.  With ``threads > 1`` the trees grow in forked worker
+processes (:func:`submol.parallel.map_tasks`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, TrainingError
-from .features import DatasetMatrix, scoring_rows
+from .features import DatasetMatrix
+from .parallel import map_tasks
 
 
 @dataclass(frozen=True)
@@ -49,11 +58,36 @@ class ForestModel:
     threshold: float = 0.5
 
     def score_rows(self, X) -> np.ndarray:
-        X = scoring_rows(X, self.n_features)
+        X = sp.csc_matrix(X, dtype=float)
+        if X.shape[1] != self.n_features:
+            raise ValueError(
+                f"rows have {X.shape[1]} features, the model expects {self.n_features}"
+            )
         total = np.zeros(X.shape[0])
         for tree in self.trees:
             total += _tree_scores(tree["nodes"], X)
         return total / len(self.trees)
+
+
+class _Columns(NamedTuple):
+    """CSC arrays of a row set, each column's entries in ascending value order."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, X: sp.csr_matrix) -> "_Columns":
+        """``X`` must hold no duplicate entries and no stored zeros."""
+        Xc = X.tocsc()
+        owner = np.repeat(np.arange(Xc.shape[1]), np.diff(Xc.indptr))
+        order = np.lexsort((Xc.data, owner))
+        return cls(Xc.indptr, Xc.indices[order], Xc.data[order])
+
+    def column(self, j: int, n_rows: int) -> np.ndarray:
+        """Column ``j`` as a dense vector of ``n_rows`` values (duplicates summed)."""
+        s, e = self.indptr[j], self.indptr[j + 1]
+        return np.bincount(self.rows[s:e], weights=self.values[s:e], minlength=n_rows)
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -77,28 +111,60 @@ def _split_scores(n_left, p_left, n_right, p_right, k: int, criterion: str):
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, criterion: str
+    cols: _Columns, y: np.ndarray, in_node: np.ndarray, feats: np.ndarray,
+    criterion: str,
 ) -> tuple[float, int, float] | None:
-    """Best (score, column, threshold) over all columns of ``X``, or None."""
-    k, m = X.shape
-    if k < 2:
+    """Best (score, position in ``feats``, threshold) for the rows in ``in_node``.
+
+    Candidates are the boundaries between consecutive distinct values of a
+    column, in (column, value) order; the first of the lowest scores wins.
+    None when every column of ``feats`` is constant on the node.
+    """
+    k = int(np.count_nonzero(in_node))
+    pos = int(y[in_node].sum())
+    m = len(feats)
+    starts = cols.indptr[feats]
+    lens = cols.indptr[feats + 1] - starts
+    owner = np.repeat(np.arange(m), lens)
+    take = np.arange(len(owner)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    rows = cols.rows[take]
+    keep = in_node[rows]
+    owner, values, labels = owner[keep], cols.values[take[keep]], y[rows[keep]]
+    # Merge in, per column, one block for the node rows it does not store:
+    # value 0, sorted after the column's negative values.
+    stored = np.bincount(owner, minlength=m)
+    zeros = np.flatnonzero(stored < k)
+    before = np.cumsum(stored) - stored + np.bincount(owner, values < 0, m).astype(np.int64)
+    at = before[zeros] + np.arange(len(zeros))
+    is_stored = np.ones(len(owner) + len(zeros), dtype=bool)
+    is_stored[at] = False
+
+    def merged(stored_part, zero_part, dtype=float):
+        out = np.empty(len(is_stored), dtype=dtype)
+        out[is_stored] = stored_part
+        out[at] = zero_part
+        return out
+
+    values = merged(values, 0.0)
+    counts = merged(1.0, k - stored[zeros])
+    positives = merged(labels, pos - np.bincount(owner, labels, m)[zeros])
+    owner = merged(owner, zeros, np.int64)
+    # Candidates sit between neighbors of one column with distinct values.
+    # Every column holds exactly k rows, so the rows left of a candidate in
+    # column c are those before it minus the c * k rows of earlier columns.
+    cut = np.flatnonzero((owner[1:] == owner[:-1]) & (values[1:] != values[:-1]))
+    if not len(cut):
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    Xs = np.take_along_axis(X, order, axis=0)
-    ys = np.take_along_axis(np.broadcast_to(y[:, None], (k, m)), order, axis=0)
-    prefix = np.cumsum(ys, axis=0, dtype=float)
-    total_pos = prefix[-1]
-    n_left = np.arange(1, k, dtype=float)[:, None]
-    p_left = prefix[:-1]
-    scores = _split_scores(n_left, p_left, k - n_left, total_pos - p_left, k, criterion)
-    scores[Xs[1:] <= Xs[:-1]] = np.inf
-    pos = np.argmin(scores, axis=0)
-    col_scores = scores[pos, np.arange(m)]
-    j = int(np.argmin(col_scores))
-    if not np.isfinite(col_scores[j]):
-        return None
-    threshold = (Xs[pos[j], j] + Xs[pos[j] + 1, j]) / 2.0
-    return float(col_scores[j]), j, float(threshold)
+    c = owner[cut]
+    n_left = np.cumsum(counts)[cut] - c * k
+    p_left = np.cumsum(positives)[cut] - c * pos
+    scores = _split_scores(n_left, p_left, k - n_left, pos - p_left, k, criterion)
+    best = int(np.argmin(scores))
+    lo, hi = values[cut[best]], values[cut[best] + 1]
+    threshold = (lo + hi) / 2.0
+    if not threshold < hi:  # adjacent floats: the midpoint rounds up to hi
+        threshold = lo
+    return float(scores[best]), int(c[best]), float(threshold)
 
 
 def _pick_features(rng: np.random.Generator, n_features: int, cfg: ForestConfig):
@@ -115,33 +181,41 @@ def _pick_features(rng: np.random.Generator, n_features: int, cfg: ForestConfig)
 
 
 def _split_node(
-    X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator,
+    cols: _Columns, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator,
     cfg: ForestConfig,
 ) -> tuple[int, float] | None:
     """Choose a split for the rows ``idx``; None when indivisible."""
-    n_features = X.shape[1]
+    n_features = len(cols.indptr) - 1
+    in_node = np.zeros(len(y), dtype=bool)
+    in_node[idx] = True
     feats = _pick_features(rng, n_features, cfg)
     if feats is None:
-        best = _best_split(X[idx], y[idx], cfg.criterion)
+        best = _best_split(cols, y, in_node, np.arange(n_features), cfg.criterion)
         return None if best is None else (best[1], best[2])
-    best = _best_split(X[np.ix_(idx, feats)], y[idx], cfg.criterion)
+    best = _best_split(cols, y, in_node, feats, cfg.criterion)
     if best is not None:
         return int(feats[best[1]]), best[2]
     # Every sampled column was constant here: scan the rest, in random
-    # order, until a split turns up, so the tree can keep growing.
-    remaining = np.setdiff1d(np.arange(n_features), feats)
-    scan = rng.permutation(remaining)
+    # order, until a split turns up, so the tree can keep growing.  A chunk
+    # of columns that store nothing in the node's rows holds no split.
+    remaining = np.ones(n_features, dtype=bool)
+    remaining[feats] = False
+    scan = rng.permutation(np.flatnonzero(remaining))
+    seen = np.concatenate(([0], np.cumsum(in_node[cols.rows])))
+    present = (seen[cols.indptr[1:]] > seen[cols.indptr[:-1]])[scan]
     step = len(feats)
     for start in range(0, len(scan), step):
+        if not present[start : start + step].any():
+            continue
         chunk = np.sort(scan[start : start + step])
-        best = _best_split(X[np.ix_(idx, chunk)], y[idx], cfg.criterion)
+        best = _best_split(cols, y, in_node, chunk, cfg.criterion)
         if best is not None:
             return int(chunk[best[1]]), best[2]
     return None
 
 
 def _grow_tree(
-    X: np.ndarray, y: np.ndarray, rng: np.random.Generator, cfg: ForestConfig
+    cols: _Columns, y: np.ndarray, rng: np.random.Generator, cfg: ForestConfig
 ) -> list[dict[str, Any]]:
     nodes: list[dict[str, Any]] = []
     stack: list[tuple[np.ndarray, int, str]] = [(np.arange(len(y)), -1, "")]
@@ -153,21 +227,24 @@ def _grow_tree(
         pos = int(y[idx].sum())
         split = None
         if 0 < pos < len(idx):
-            split = _split_node(X, y, idx, rng, cfg)
+            split = _split_node(cols, y, idx, rng, cfg)
         if split is None:
             nodes.append({"prob": pos / len(idx)})
             continue
         feature, threshold = split
-        go_left = X[idx, feature] <= threshold
+        go_left = cols.column(feature, len(y))[idx] <= threshold
         nodes.append({"feature": feature, "threshold": threshold, "left": -1, "right": -1})
         stack.append((idx[~go_left], node_id, "right"))
         stack.append((idx[go_left], node_id, "left"))
     return nodes
 
 
-def _tree_scores(nodes: list[dict[str, Any]], X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    stack = [(0, np.arange(X.shape[0]))]
+def _tree_scores(nodes: list[dict[str, Any]], X) -> np.ndarray:
+    X = sp.csc_matrix(X, dtype=float)
+    n = X.shape[0]
+    cols = _Columns(X.indptr, X.indices, X.data)  # column() needs no value order
+    out = np.empty(n)
+    stack = [(0, np.arange(n))]
     while stack:
         node_id, rows = stack.pop()
         if len(rows) == 0:
@@ -176,10 +253,18 @@ def _tree_scores(nodes: list[dict[str, Any]], X: np.ndarray) -> np.ndarray:
         if "prob" in node:
             out[rows] = node["prob"]
         else:
-            go_left = X[rows, node["feature"]] <= node["threshold"]
+            go_left = cols.column(node["feature"], n)[rows] <= node["threshold"]
             stack.append((node["left"], rows[go_left]))
             stack.append((node["right"], rows[~go_left]))
     return out
+
+
+def _build_tree(
+    X: sp.csr_matrix, y: np.ndarray, rng: np.random.Generator, cfg: ForestConfig
+) -> dict[str, Any]:
+    bootstrap = rng.integers(0, len(y), size=len(y))
+    nodes = _grow_tree(_Columns.of(X[bootstrap]), y[bootstrap], rng, cfg)
+    return {"nodes": nodes, "bootstrap": bootstrap.tolist()}
 
 
 def train_forest(
@@ -190,22 +275,16 @@ def train_forest(
     Every tree draws its own rng stream from the master seed, so results do
     not depend on ``threads`` or on the order trees finish.
     """
-    X = data.dense()
     y = (data.y == 1).astype(np.int64)
     if len(y) < 2:
         raise TrainingError("training needs at least two rows")
     if y.min() == y.max():
         raise TrainingError("training rows are all one class")
+    # A private copy: summing duplicates and dropping stored zeros must not
+    # touch the caller's matrix.
+    X = sp.csr_matrix(data.X, dtype=float, copy=True)
+    X.sum_duplicates()
+    X.eliminate_zeros()
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(cfg.trees)]
-
-    def build(rng: np.random.Generator) -> dict[str, Any]:
-        bootstrap = rng.integers(0, len(y), size=len(y))
-        nodes = _grow_tree(X[bootstrap], y[bootstrap], rng, cfg)
-        return {"nodes": nodes, "bootstrap": bootstrap.tolist()}
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, rngs))
-    else:
-        trees = [build(rng) for rng in rngs]
+    trees = map_tasks(_build_tree, [(X, y, rng, cfg) for rng in rngs], threads)
     return ForestModel(cfg, seed, X.shape[1], trees)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TextIO
 
@@ -31,6 +30,7 @@ from .features import DatasetMatrix
 from .forest import ForestConfig, train_forest
 from .kernels import KernelizedModel, kernel_feature_rows
 from .neural import NetConfig, train_mlp, train_partitioned_net
+from .parallel import map_tasks
 from .svm import SvmConfig, train_svm
 
 KERNELS = ("none", "cosine", "nspdk")
@@ -186,44 +186,47 @@ def _trial_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
 
 
+def _run_trial(
+    data: DatasetMatrix, pipeline: PipelineSpec, seed: int, t: int,
+    train_idx: np.ndarray, val_idx: np.ndarray,
+) -> tuple[int, float, float, float]:
+    """Trial ``t``: (t, validation AUROC, train accuracy, validation accuracy)."""
+    try:
+        train, val = _restrict_to_training_vocab(
+            data.subset(train_idx), data.subset(val_idx)
+        )
+        model, seen = fit(train, pipeline, _trial_seed(seed, t), 1)
+        classifier = model.inner if pipeline.kernel != "none" else model
+        train_scores = classifier.score_rows(seen.X)
+        val_scores = model.score_rows(val.X)
+        return (
+            t,
+            auroc(val_scores, val.y),
+            accuracy(train_scores, train.y, model.threshold),
+            accuracy(val_scores, val.y, model.threshold),
+        )
+    except Exception as exc:
+        exc.args = (f"trial {t}: {exc}",) + exc.args[1:]
+        raise
+
+
 def run_protocol(
     data: DatasetMatrix,
     pipeline: PipelineSpec,
     protocol: Protocol,
     seed: int = 0,
 ) -> ProtocolResult:
-    """Run every split of ``protocol`` and collect per-trial metrics."""
+    """Run every split of ``protocol`` and collect per-trial metrics.
+
+    With ``pipeline.threads > 1`` the trials run in forked worker processes.
+    """
     if pipeline.kernel == "nspdk" and data.vocab is None:
         raise ConfigError("the nspdk kernel needs a feature vocabulary")
-    splits = protocol.splits(len(data), seed)
-
-    def run_trial(args: tuple[int, tuple[np.ndarray, np.ndarray]]):
-        t, (train_idx, val_idx) = args
-        try:
-            train, val = _restrict_to_training_vocab(
-                data.subset(train_idx), data.subset(val_idx)
-            )
-            model, seen = fit(train, pipeline, _trial_seed(seed, t), 1)
-            classifier = model.inner if pipeline.kernel != "none" else model
-            train_scores = classifier.score_rows(seen.X)
-            val_scores = model.score_rows(val.X)
-            return (
-                t,
-                auroc(val_scores, val.y),
-                accuracy(train_scores, train.y, model.threshold),
-                accuracy(val_scores, val.y, model.threshold),
-            )
-        except Exception as exc:
-            exc.args = (f"trial {t}: {exc}",) + exc.args[1:]
-            raise
-
-    tasks = list(enumerate(splits))
-    if pipeline.threads > 1:
-        with ThreadPoolExecutor(max_workers=pipeline.threads) as pool:
-            rows = list(pool.map(run_trial, tasks))
-    else:
-        rows = [run_trial(task) for task in tasks]
-    rows.sort(key=lambda r: r[0])
+    tasks = [
+        (data, pipeline, seed, t, train_idx, val_idx)
+        for t, (train_idx, val_idx) in enumerate(protocol.splits(len(data), seed))
+    ]
+    rows = map_tasks(_run_trial, tasks, pipeline.threads)
     samples = {
         "auroc": MetricSample("auroc", tuple(r[1] for r in rows)),
         "train_acc": MetricSample("train_acc", tuple(r[2] for r in rows)),

@@ -1,6 +1,7 @@
 """Command-line tests: subcommands, config layering, exit codes, determinism."""
 
 import json
+import multiprocessing
 import os
 import random
 
@@ -447,6 +448,46 @@ def test_single_class_training_is_exit_4(tmp_path, capsys):
                  "--model-out", str(tmp_path / "m.json")])
     assert code == 4
     assert "training error" in capsys.readouterr().err
+
+
+def test_failing_trial_exits_the_same_with_worker_processes(tmp_path, capsys):
+    path = tmp_path / "mols.smi"
+    path.write_text("C +1\nCC -1\nCCC -1\nCCCC -1\nCCCCC -1\nCCO -1\n", encoding="utf-8")
+    _, features, vocab = featurize(str(path), str(tmp_path), "--heights", "0")
+    outcomes = []
+    for threads in ("1", "2"):
+        code = main(["evaluate", "--features", features, "--vocab", vocab,
+                     "--algo", "rf", "--trees", "2", "--protocol", "kfold:3",
+                     "--threads", threads,
+                     "--out-metrics", str(tmp_path / "m.csv"),
+                     "--out-summary", str(tmp_path / "s.json")])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (3, 4)
+    assert "trial " in outcomes[0][1]
+    assert multiprocessing.active_children() == []
+
+
+def test_rf_on_kernel_rows_equal_up_to_an_ulp(tmp_path, capsys):
+    # Odd multiples of three count vectors: the nspdk rows of one vector's
+    # multiples differ only in their last bits, and labels alternate among
+    # them, so the forest must split between adjacent floats.
+    features = tmp_path / "features.txt"
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("1\t0|a\t1.0\n2\t0|b\t2.0\n3\t1|c\t3.0\n", encoding="utf-8")
+    lines = []
+    for b, base in enumerate([(1, 2, 1), (2, 1, 1), (1, 1, 3)]):
+        for i, k in enumerate((1, 3, 5, 7, 9, 11)):
+            counts = " ".join(f"{c + 1}:{k * v}" for c, v in enumerate(base))
+            lines.append(f"{'+1' if (i + b) % 2 else '-1'} {counts}\n")
+    features.write_text("".join(lines), encoding="utf-8")
+    code = main(["evaluate", "--features", str(features), "--vocab", str(vocab),
+                 "--algo", "rf", "--kernel", "nspdk", "--trees", "10",
+                 "--protocol", "kfold:3", "--seed", "0", "--threads", "2",
+                 "--out-metrics", str(tmp_path / "m.csv"),
+                 "--out-summary", str(tmp_path / "s.json")])
+    assert code == 0, capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_height_mode_with_distances_is_exit_2(smiles_file, tmp_path, capsys):

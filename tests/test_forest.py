@@ -1,5 +1,6 @@
 """Random-forest tests: split mechanics, determinism, and learning power."""
 
+import multiprocessing
 import random
 
 import numpy as np
@@ -13,6 +14,9 @@ from submol.forest import (
     ForestConfig,
     ForestModel,
     _best_split,
+    _Columns,
+    _pick_features,
+    _split_scores,
     _tree_scores,
     train_forest,
 )
@@ -25,13 +29,188 @@ def matrix_from(rows, labels):
     return DatasetMatrix(X, np.asarray(labels), ids, None)
 
 
+def best_split(X, y, criterion):
+    """``_best_split`` over every row and column of a dense node."""
+    X = np.asarray(X, dtype=float)
+    in_node = np.ones(len(y), dtype=bool)
+    cols = _Columns.of(sp.csr_matrix(X))
+    return _best_split(cols, np.asarray(y), in_node, np.arange(X.shape[1]), criterion)
+
+
+# --- dense reference ----------------------------------------------------------
+# A dense splitter that sorts every sampled column of the node's rows, zeros
+# included.  The sparse trainer must grow the very same trees.
+
+
+def dense_best_split(X, y, criterion):
+    k, m = X.shape
+    if k < 2:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    Xs = np.take_along_axis(X, order, axis=0)
+    ys = np.take_along_axis(np.broadcast_to(y[:, None], (k, m)), order, axis=0)
+    prefix = np.cumsum(ys, axis=0, dtype=float)
+    total_pos = prefix[-1]
+    n_left = np.arange(1, k, dtype=float)[:, None]
+    p_left = prefix[:-1]
+    scores = _split_scores(n_left, p_left, k - n_left, total_pos - p_left, k, criterion)
+    scores[Xs[1:] <= Xs[:-1]] = np.inf
+    pos = np.argmin(scores, axis=0)
+    col_scores = scores[pos, np.arange(m)]
+    j = int(np.argmin(col_scores))
+    if not np.isfinite(col_scores[j]):
+        return None
+    lo, hi = Xs[pos[j], j], Xs[pos[j] + 1, j]
+    threshold = (lo + hi) / 2.0
+    if not threshold < hi:
+        threshold = lo
+    return float(col_scores[j]), j, float(threshold)
+
+
+def dense_split_node(X, y, idx, rng, cfg):
+    n_features = X.shape[1]
+    feats = _pick_features(rng, n_features, cfg)
+    if feats is None:
+        best = dense_best_split(X[idx], y[idx], cfg.criterion)
+        return None if best is None else (best[1], best[2])
+    best = dense_best_split(X[np.ix_(idx, feats)], y[idx], cfg.criterion)
+    if best is not None:
+        return int(feats[best[1]]), best[2]
+    remaining = np.setdiff1d(np.arange(n_features), feats)
+    scan = rng.permutation(remaining)
+    step = len(feats)
+    for start in range(0, len(scan), step):
+        chunk = np.sort(scan[start : start + step])
+        best = dense_best_split(X[np.ix_(idx, chunk)], y[idx], cfg.criterion)
+        if best is not None:
+            return int(chunk[best[1]]), best[2]
+    return None
+
+
+def dense_grow_tree(X, y, rng, cfg):
+    nodes = []
+    stack = [(np.arange(len(y)), -1, "")]
+    while stack:
+        idx, parent, side = stack.pop()
+        node_id = len(nodes)
+        if parent >= 0:
+            nodes[parent][side] = node_id
+        pos = int(y[idx].sum())
+        split = None
+        if 0 < pos < len(idx):
+            split = dense_split_node(X, y, idx, rng, cfg)
+        if split is None:
+            nodes.append({"prob": pos / len(idx)})
+            continue
+        feature, threshold = split
+        go_left = X[idx, feature] <= threshold
+        nodes.append({"feature": feature, "threshold": threshold, "left": -1, "right": -1})
+        stack.append((idx[~go_left], node_id, "right"))
+        stack.append((idx[go_left], node_id, "left"))
+    return nodes
+
+
+def dense_forest_trees(data, cfg, seed):
+    X = data.X.toarray() if sp.issparse(data.X) else np.asarray(data.X, dtype=float)
+    y = (data.y == 1).astype(np.int64)
+    trees = []
+    for s in np.random.SeedSequence(seed).spawn(cfg.trees):
+        rng = np.random.default_rng(s)
+        bootstrap = rng.integers(0, len(y), size=len(y))
+        nodes = dense_grow_tree(X[bootstrap], y[bootstrap], rng, cfg)
+        trees.append({"nodes": nodes, "bootstrap": bootstrap.tolist()})
+    return trees
+
+
+def _random_case(case):
+    """A seeded random matrix: counts, signed integers or rounded reals, at
+    full, 5 % or 30 % density; every fourth stores explicit zeros."""
+    rnd = np.random.default_rng(1000 + case)
+    n = int(rnd.integers(8, 60))
+    n_cols = int(rnd.integers(1, 30))
+    if case % 3 == 0:
+        X = rnd.integers(0, 6, size=(n, n_cols)).astype(float)
+    elif case % 3 == 1:
+        X = rnd.integers(-4, 5, size=(n, n_cols)).astype(float)
+    else:
+        X = rnd.normal(size=(n, n_cols)).round(int(rnd.integers(0, 3)))
+    X[rnd.uniform(size=(n, n_cols)) >= (1.0, 0.05, 0.3)[case // 3 % 3]] = 0.0
+    y = np.where(rnd.uniform(size=n) < 0.5, 1, -1)
+    y[0], y[1] = 1, -1
+    M = sp.csr_matrix(X)
+    if case % 4 == 3:
+        M.data[::3] = 0.0
+        X = M.toarray()
+    return M, X, y
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_sparse_trees_match_the_dense_reference(case):
+    M, X, y = _random_case(case)
+    assert np.array_equal(M.toarray(), X)
+    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    cfg = ForestConfig(
+        trees=4,
+        criterion=("gini", "entropy")[case % 2],
+        max_features=("sqrt", "all", 2)[(case + case // 3) % 3],
+    )
+    model = train_forest(data, cfg, seed=case)
+    assert model.trees == dense_forest_trees(data, cfg, seed=case)
+    # the same trees from a dense input, and the same scores from either
+    dense_input = DatasetMatrix(X, y, data.ids, None)
+    assert train_forest(dense_input, cfg, seed=case).trees == model.trees
+    expected = np.mean(
+        [_dense_tree_scores(tree["nodes"], X) for tree in model.trees], axis=0
+    )
+    assert np.array_equal(model.score_rows(M), expected)
+    assert np.array_equal(model.score_rows(X), expected)
+
+
+def _dense_tree_scores(nodes, X):
+    out = []
+    for row in X:
+        node = nodes[0]
+        while "prob" not in node:
+            side = "left" if row[node["feature"]] <= node["threshold"] else "right"
+            node = nodes[node[side]]
+        out.append(node["prob"])
+    return np.array(out)
+
+
+def test_training_leaves_the_callers_matrix_alone():
+    M, _, y = _random_case(3)
+    before = (M.data.copy(), M.indices.copy(), M.indptr.copy())
+    assert (M.data == 0).any()
+    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    train_forest(data, ForestConfig(trees=3), seed=1)
+    after = (M.data, M.indices, M.indptr)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the forest must not densify")
+
+
+def test_forest_never_densifies(monkeypatch):
+    M, X, y = _random_case(4)
+    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    expected = train_forest(data, ForestConfig(trees=4), seed=3)
+    monkeypatch.setattr(DatasetMatrix, "dense", _refuse)
+    for matrix_class in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        monkeypatch.setattr(matrix_class, "toarray", _refuse)
+        monkeypatch.setattr(matrix_class, "todense", _refuse)
+    model = train_forest(data, ForestConfig(trees=4), seed=3)
+    assert model.trees == expected.trees
+    model.score_rows(M)
+
+
 # --- split selection --------------------------------------------------------
 
 
 def test_best_split_finds_clean_boundary():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    score, col, threshold = _best_split(X, y, "gini")
+    score, col, threshold = best_split(X, y, "gini")
     assert col == 0
     assert threshold == 1.5
     assert score == pytest.approx(0.0, abs=1e-15)
@@ -40,7 +219,7 @@ def test_best_split_finds_clean_boundary():
 def test_best_split_midpoint_thresholds():
     X = np.array([[0.0], [10.0]])
     y = np.array([0, 1])
-    _, _, threshold = _best_split(X, y, "gini")
+    _, _, threshold = best_split(X, y, "gini")
     assert threshold == 5.0
 
 
@@ -48,7 +227,7 @@ def test_best_split_tie_goes_to_lowest_column():
     # both columns separate perfectly; the first must win
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1])
-    _, col, _ = _best_split(X, y, "gini")
+    _, col, _ = best_split(X, y, "gini")
     assert col == 0
 
 
@@ -57,22 +236,31 @@ def test_best_split_tie_goes_to_lowest_threshold():
     # the earlier (lower) threshold must be chosen.
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([0, 1, 0])
-    _, _, threshold = _best_split(X, y, "gini")
+    _, _, threshold = best_split(X, y, "gini")
     assert threshold == 0.5
 
 
 def test_best_split_constant_column_is_unsplittable():
     X = np.array([[1.0], [1.0]])
     y = np.array([0, 1])
-    assert _best_split(X, y, "gini") is None
-    assert _best_split(np.array([[1.0]]), np.array([1]), "gini") is None
+    assert best_split(X, y, "gini") is None
+    assert best_split(np.array([[1.0]]), np.array([1]), "gini") is None
+
+
+def test_threshold_between_adjacent_floats_separates_them():
+    # (lo + hi) / 2 rounds up to hi here, which would send every row left.
+    lo, hi = 1 + 2**-52, 1 + 2**-51
+    X = np.array([[lo], [hi], [lo], [hi]])
+    y = np.array([0, 1, 0, 1])
+    _, _, threshold = best_split(X, y, "gini")
+    assert lo <= threshold < hi
 
 
 def test_best_split_entropy_agrees_on_clean_data():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
     for criterion in ("gini", "entropy"):
-        _, col, threshold = _best_split(X, y, criterion)
+        _, col, threshold = best_split(X, y, criterion)
         assert (col, threshold) == (0, 1.5)
 
 
@@ -184,6 +372,15 @@ def test_training_is_deterministic_and_thread_independent():
     assert a.trees == b.trees == c.trees
     different = train_forest(data, ForestConfig(trees=12), seed=22)
     assert a.trees != different.trees
+
+
+def test_worker_processes_grow_the_same_trees_and_exit():
+    M, _, y = _random_case(7)
+    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    inline = train_forest(data, ForestConfig(trees=5), seed=9, threads=1)
+    forked = train_forest(data, ForestConfig(trees=5), seed=9, threads=2)
+    assert forked.trees == inline.trees
+    assert multiprocessing.active_children() == []
 
 
 def test_training_rejects_degenerate_data():

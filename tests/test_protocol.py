@@ -2,11 +2,13 @@
 
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from submol import protocol
 from submol.errors import ConfigError
 from submol.features import (
     DatasetMatrix,
@@ -206,6 +208,43 @@ def test_trial_errors_carry_trial_number():
             Protocol.parse("kfold:2"),
             seed=0,
         )
+
+
+def _divide_by_zero(scores, labels):
+    return 1 / 0
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_worker_processes_raise_a_failing_trial_like_inline(monkeypatch, broken):
+    # A ValueError from the data, or an untyped error from the code.
+    if broken:
+        monkeypatch.setattr(protocol, "auroc", _divide_by_zero)
+    data = numeric_matrix([[0.0], [1.0], [2.0], [3.0]], [1, 1, 1, -1])
+    raised = []
+    for threads in (1, 2):
+        with pytest.raises(Exception) as info:
+            run_protocol(
+                data,
+                PipelineSpec("rf", ForestConfig(trees=2), threads=threads),
+                Protocol.parse("kfold:2"),
+                seed=0,
+            )
+        raised.append((type(info.value), info.value.args))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is (ZeroDivisionError if broken else ValueError)
+    assert raised[0][1][0].startswith("trial ")
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_process_outlives_a_protocol_run():
+    data = blob_matrix(np.random.default_rng(5), n_each=8)
+    run_protocol(
+        data,
+        PipelineSpec("rf", ForestConfig(trees=3), threads=2),
+        Protocol.parse("kfold:3"),
+        seed=1,
+    )
+    assert multiprocessing.active_children() == []
 
 
 def test_kernel_pipeline_runs_on_feature_data():
