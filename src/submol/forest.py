@@ -8,13 +8,17 @@ ties go to the lowest column index, then the lowest threshold.  A tree's
 leaf stores the positive fraction of its training rows, and the forest
 scores a row by averaging the leaf values the row reaches.
 
-Nothing densifies.  A tree keeps its bootstrap rows as one CSC matrix with
-each column's entries sorted by value.  A node's split search reads only the
-stored entries of its sampled columns that fall in the node's rows; the rows
-a column does not store form one block of zeros, sorted among the stored
-values by its value 0.  Scoring reads one CSC column of the input per
-internal node.  With ``threads > 1`` the trees grow in forked worker
-processes (:func:`submol.parallel.map_tasks`).
+Nothing densifies.  The training rows are kept once per forest, by row
+(CSR) and by column (CSC); a tree keeps its bootstrap sample as a count per
+training row, and a node as its distinct rows.  A node's split search finds
+the stored entries of its sampled columns in the node's rows: a column that
+stores few entries per node row is scanned, a longer one is searched row by
+row, so the cost follows the node's rows, not the whole sample.  It sorts
+them by value within each column; the rows a column does not store form one
+block of zeros, sorted among the stored values by its value 0.  Scoring
+reads one CSC column of a sparse input per internal node, and an array in
+place.  With ``threads > 1`` the trees grow in forked worker processes
+(:func:`submol.parallel.map_tasks`).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class ForestModel:
     threshold: float = 0.5
 
     def score_rows(self, X) -> np.ndarray:
-        X = sp.csc_matrix(X, dtype=float)
+        X = X.tocsc() if sp.issparse(X) else np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise ValueError(
                 f"rows have {X.shape[1]} features, the model expects {self.n_features}"
@@ -69,25 +73,89 @@ class ForestModel:
         return total / len(self.trees)
 
 
-class _Columns(NamedTuple):
-    """CSC arrays of a row set, each column's entries in ascending value order."""
+def _by_row(X) -> sp.csr_matrix:
+    """A CSR copy of a sparse matrix, duplicates summed, or of the nonzeros
+    of an array of rows or of one row."""
+    if sp.issparse(X):
+        X = sp.csr_matrix(X, dtype=float, copy=True)
+        X.sum_duplicates()  # also sorts each row's columns
+        return X
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    nonzero = X != 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(nonzero, axis=1))))
+    return sp.csr_matrix((X[nonzero], np.nonzero(nonzero)[1], indptr), X.shape)
 
+
+class _Columns(NamedTuple):
+    """CSC arrays of a matrix: each column's entries in ascending row order."""
+
+    n_rows: int
     indptr: np.ndarray
     rows: np.ndarray
+    keys: np.ndarray  # column * n_rows + row of each entry, then n_cols * n_rows
     values: np.ndarray
 
     @classmethod
     def of(cls, X: sp.csr_matrix) -> "_Columns":
-        """``X`` must hold no duplicate entries and no stored zeros."""
+        """``X`` must hold no duplicate entries."""
         Xc = X.tocsc()
-        owner = np.repeat(np.arange(Xc.shape[1]), np.diff(Xc.indptr))
-        order = np.lexsort((Xc.data, owner))
-        return cls(Xc.indptr, Xc.indices[order], Xc.data[order])
+        n, n_cols = X.shape
+        keys = np.repeat(np.arange(n_cols, dtype=np.int64) * n, np.diff(Xc.indptr)) + Xc.indices
+        # A last key past the end of the matrix: a lookup always lands on one.
+        return cls(n, Xc.indptr, Xc.indices, np.append(keys, n_cols * n), Xc.data)
 
-    def column(self, j: int, n_rows: int) -> np.ndarray:
-        """Column ``j`` as a dense vector of ``n_rows`` values (duplicates summed)."""
+    def find(
+        self, feats: np.ndarray, idx: np.ndarray, in_node: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The stored entries of columns ``feats`` in rows ``idx``: their
+        positions, and for each the position of its column in ``feats``.
+
+        ``feats`` and ``idx`` must be ascending, and ``in_node`` must mark
+        the rows of ``idx`` among all rows.  A column that stores at most
+        ``_SCAN`` times as many entries as ``idx`` holds rows is scanned,
+        each entry's row checked in ``in_node``; in a longer one each row
+        of ``idx`` is looked up.  So the cost follows the smaller of column
+        and node.
+        """
+        starts = self.indptr[feats]
+        lens = self.indptr[feats + 1] - starts
+        scan = lens <= _SCAN * len(idx)
+        take = _ranges(starts[scan], lens[scan])
+        hit = in_node[self.rows[take]]
+        take, owner = take[hit], np.repeat(np.flatnonzero(scan), lens[scan])[hit]
+        if scan.all():
+            return take, owner
+        query = (feats[~scan, None] * self.n_rows + idx).ravel()
+        at = np.searchsorted(self.keys, query)
+        hit = self.keys[at] == query
+        searched = np.repeat(np.flatnonzero(~scan), len(idx))[hit]
+        return np.concatenate((take, at[hit])), np.concatenate((owner, searched))
+
+    def column_in(self, j: int, idx: np.ndarray, in_node: np.ndarray) -> np.ndarray:
+        """Column ``j`` in rows ``idx`` (as in :meth:`find`), as a dense vector."""
         s, e = self.indptr[j], self.indptr[j + 1]
-        return np.bincount(self.rows[s:e], weights=self.values[s:e], minlength=n_rows)
+        out = np.zeros(len(idx))
+        if e - s <= _SCAN * len(idx):
+            rows = self.rows[s:e]
+            hit = in_node[rows]
+            out[np.searchsorted(idx, rows[hit])] = self.values[s:e][hit]
+        else:
+            query = j * self.n_rows + idx
+            at = np.searchsorted(self.keys, query)
+            hit = self.keys[at] == query
+            out[hit] = self.values[at[hit]]
+        return out
+
+
+#: A column is scanned, not searched row by row, up to this many entries
+#: per node row: checking an entry's row costs a gather, looking a row up a
+#: binary search over every stored entry.
+_SCAN = 16
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[i] : starts[i] + lens[i]``."""
+    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -110,48 +178,51 @@ def _split_scores(n_left, p_left, n_right, p_right, k: int, criterion: str):
     return (part_left + part_right) / k
 
 
+class _Bootstrap(NamedTuple):
+    """One tree's training rows, and the node it is splitting."""
+
+    by_row: sp.csr_matrix  # the training matrix
+    cols: _Columns  # and its columns
+    y: np.ndarray  # labels, 0 or 1
+    copies: np.ndarray  # how often the bootstrap drew each row
+    in_node: np.ndarray  # marks the rows of the node being split
+
+
 def _best_split(
-    cols: _Columns, y: np.ndarray, in_node: np.ndarray, feats: np.ndarray,
-    criterion: str,
+    b: _Bootstrap, idx: np.ndarray, feats: np.ndarray, criterion: str
 ) -> tuple[float, int, float] | None:
-    """Best (score, position in ``feats``, threshold) for the rows in ``in_node``.
+    """Best (score, position in ``feats``, threshold) for the rows ``idx``.
 
     Candidates are the boundaries between consecutive distinct values of a
     column, in (column, value) order; the first of the lowest scores wins.
     None when every column of ``feats`` is constant on the node.
     """
-    k = int(np.count_nonzero(in_node))
-    pos = int(y[in_node].sum())
+    take, owner = b.cols.find(feats, idx, b.in_node)
+    if not len(take):  # every column is all zeros here
+        return None
+    w = b.copies[idx]
+    k, pos = int(w.sum()), int(w @ b.y[idx])
     m = len(feats)
-    starts = cols.indptr[feats]
-    lens = cols.indptr[feats + 1] - starts
-    owner = np.repeat(np.arange(m), lens)
-    take = np.arange(len(owner)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    rows = cols.rows[take]
-    keep = in_node[rows]
-    owner, values, labels = owner[keep], cols.values[take[keep]], y[rows[keep]]
-    # Merge in, per column, one block for the node rows it does not store:
-    # value 0, sorted after the column's negative values.
-    stored = np.bincount(owner, minlength=m)
+    rows = b.cols.rows[take]
+    weights = b.copies[rows]
+    labels = weights * b.y[rows]
+    # Each column that does not store all of the node's rows gets one more
+    # entry: a block of value 0 that carries the rows it does not store.
+    stored = np.bincount(owner, weights, m)
     zeros = np.flatnonzero(stored < k)
-    before = np.cumsum(stored) - stored + np.bincount(owner, values < 0, m).astype(np.int64)
-    at = before[zeros] + np.arange(len(zeros))
-    is_stored = np.ones(len(owner) + len(zeros), dtype=bool)
-    is_stored[at] = False
-
-    def merged(stored_part, zero_part, dtype=float):
-        out = np.empty(len(is_stored), dtype=dtype)
-        out[is_stored] = stored_part
-        out[at] = zero_part
-        return out
-
-    values = merged(values, 0.0)
-    counts = merged(1.0, k - stored[zeros])
-    positives = merged(labels, pos - np.bincount(owner, labels, m)[zeros])
-    owner = merged(owner, zeros, np.int64)
+    values = np.concatenate((b.cols.values[take], np.zeros(len(zeros))))
+    counts = np.concatenate((weights, k - stored[zeros]))
+    positives = np.concatenate((labels, pos - np.bincount(owner, labels, m)[zeros]))
+    owner = np.concatenate((owner, zeros))
+    # By value, then stably by column: few columns make that a radix sort.
+    order = np.argsort(values)
+    order = order[np.argsort(owner[order].astype(np.min_scalar_type(m)), kind="stable")]
+    values, counts, positives, owner = (
+        values[order], counts[order], positives[order], owner[order]
+    )
     # Candidates sit between neighbors of one column with distinct values.
-    # Every column holds exactly k rows, so the rows left of a candidate in
-    # column c are those before it minus the c * k rows of earlier columns.
+    # Every column holds weight k, so the weight left of a candidate in
+    # column c is that before it minus the c * k of earlier columns.
     cut = np.flatnonzero((owner[1:] == owner[:-1]) & (values[1:] != values[:-1]))
     if not len(cut):
         return None
@@ -181,18 +252,15 @@ def _pick_features(rng: np.random.Generator, n_features: int, cfg: ForestConfig)
 
 
 def _split_node(
-    cols: _Columns, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator,
-    cfg: ForestConfig,
+    b: _Bootstrap, idx: np.ndarray, rng: np.random.Generator, cfg: ForestConfig
 ) -> tuple[int, float] | None:
     """Choose a split for the rows ``idx``; None when indivisible."""
-    n_features = len(cols.indptr) - 1
-    in_node = np.zeros(len(y), dtype=bool)
-    in_node[idx] = True
+    n_features = b.by_row.shape[1]
     feats = _pick_features(rng, n_features, cfg)
     if feats is None:
-        best = _best_split(cols, y, in_node, np.arange(n_features), cfg.criterion)
+        best = _best_split(b, idx, np.arange(n_features), cfg.criterion)
         return None if best is None else (best[1], best[2])
-    best = _best_split(cols, y, in_node, feats, cfg.criterion)
+    best = _best_split(b, idx, feats, cfg.criterion)
     if best is not None:
         return int(feats[best[1]]), best[2]
     # Every sampled column was constant here: scan the rest, in random
@@ -201,38 +269,46 @@ def _split_node(
     remaining = np.ones(n_features, dtype=bool)
     remaining[feats] = False
     scan = rng.permutation(np.flatnonzero(remaining))
-    seen = np.concatenate(([0], np.cumsum(in_node[cols.rows])))
-    present = (seen[cols.indptr[1:]] > seen[cols.indptr[:-1]])[scan]
+    indptr = b.by_row.indptr
+    present = np.zeros(n_features, dtype=bool)
+    present[b.by_row.indices[_ranges(indptr[idx], indptr[idx + 1] - indptr[idx])]] = True
+    present = present[scan]
     step = len(feats)
     for start in range(0, len(scan), step):
         if not present[start : start + step].any():
             continue
         chunk = np.sort(scan[start : start + step])
-        best = _best_split(cols, y, in_node, chunk, cfg.criterion)
+        best = _best_split(b, idx, chunk, cfg.criterion)
         if best is not None:
             return int(chunk[best[1]]), best[2]
     return None
 
 
 def _grow_tree(
-    cols: _Columns, y: np.ndarray, rng: np.random.Generator, cfg: ForestConfig
+    b: _Bootstrap, rng: np.random.Generator, cfg: ForestConfig
 ) -> list[dict[str, Any]]:
+    """A node holds its distinct rows, ascending, each counted as often as
+    the bootstrap drew it."""
     nodes: list[dict[str, Any]] = []
-    stack: list[tuple[np.ndarray, int, str]] = [(np.arange(len(y)), -1, "")]
+    stack: list[tuple[np.ndarray, int, str]] = [(np.flatnonzero(b.copies), -1, "")]
     while stack:
         idx, parent, side = stack.pop()
         node_id = len(nodes)
         if parent >= 0:
             nodes[parent][side] = node_id
-        pos = int(y[idx].sum())
+        w = b.copies[idx]
+        k, pos = int(w.sum()), int(w @ b.y[idx])
         split = None
-        if 0 < pos < len(idx):
-            split = _split_node(cols, y, idx, rng, cfg)
+        if 0 < pos < k:
+            b.in_node[idx] = True
+            split = _split_node(b, idx, rng, cfg)
         if split is None:
-            nodes.append({"prob": pos / len(idx)})
+            b.in_node[idx] = False
+            nodes.append({"prob": pos / k})
             continue
         feature, threshold = split
-        go_left = cols.column(feature, len(y))[idx] <= threshold
+        go_left = b.cols.column_in(feature, idx, b.in_node) <= threshold
+        b.in_node[idx] = False
         nodes.append({"feature": feature, "threshold": threshold, "left": -1, "right": -1})
         stack.append((idx[~go_left], node_id, "right"))
         stack.append((idx[go_left], node_id, "left"))
@@ -240,11 +316,9 @@ def _grow_tree(
 
 
 def _tree_scores(nodes: list[dict[str, Any]], X) -> np.ndarray:
-    X = sp.csc_matrix(X, dtype=float)
-    n = X.shape[0]
-    cols = _Columns(X.indptr, X.indices, X.data)  # column() needs no value order
-    out = np.empty(n)
-    stack = [(0, np.arange(n))]
+    """Scores of the rows of ``X``, a CSC matrix or an array."""
+    out = np.empty(X.shape[0])
+    stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node_id, rows = stack.pop()
         if len(rows) == 0:
@@ -253,17 +327,29 @@ def _tree_scores(nodes: list[dict[str, Any]], X) -> np.ndarray:
         if "prob" in node:
             out[rows] = node["prob"]
         else:
-            go_left = cols.column(node["feature"], n)[rows] <= node["threshold"]
+            go_left = _column(X, node["feature"], rows) <= node["threshold"]
             stack.append((node["left"], rows[go_left]))
             stack.append((node["right"], rows[~go_left]))
     return out
 
 
+def _column(X, j: int, rows: np.ndarray) -> np.ndarray:
+    """Column ``j`` of ``X`` in ``rows``: an array is read in place, a CSC
+    matrix one column at a time."""
+    if isinstance(X, np.ndarray):
+        return X[rows, j]
+    s, e = X.indptr[j], X.indptr[j + 1]
+    return np.bincount(X.indices[s:e], X.data[s:e], X.shape[0])[rows]
+
+
 def _build_tree(
-    X: sp.csr_matrix, y: np.ndarray, rng: np.random.Generator, cfg: ForestConfig
+    X: sp.csr_matrix, cols: _Columns, y: np.ndarray, rng: np.random.Generator,
+    cfg: ForestConfig,
 ) -> dict[str, Any]:
     bootstrap = rng.integers(0, len(y), size=len(y))
-    nodes = _grow_tree(_Columns.of(X[bootstrap]), y[bootstrap], rng, cfg)
+    copies = np.bincount(bootstrap, minlength=len(y))
+    in_node = np.zeros(len(y), dtype=bool)
+    nodes = _grow_tree(_Bootstrap(X, cols, y, copies, in_node), rng, cfg)
     return {"nodes": nodes, "bootstrap": bootstrap.tolist()}
 
 
@@ -280,11 +366,8 @@ def train_forest(
         raise TrainingError("training needs at least two rows")
     if y.min() == y.max():
         raise TrainingError("training rows are all one class")
-    # A private copy: summing duplicates and dropping stored zeros must not
-    # touch the caller's matrix.
-    X = sp.csr_matrix(data.X, dtype=float, copy=True)
-    X.sum_duplicates()
-    X.eliminate_zeros()
+    X = _by_row(data.X)
+    cols = _Columns.of(X)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(cfg.trees)]
-    trees = map_tasks(_build_tree, [(X, y, rng, cfg) for rng in rngs], threads)
+    trees = map_tasks(_build_tree, [(X, cols, y, rng, cfg) for rng in rngs], threads)
     return ForestModel(cfg, seed, X.shape[1], trees)

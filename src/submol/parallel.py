@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
 from typing import Any, Callable, Sequence
+
+#: The registry of the warnings that workers pass back: under a "default"
+#: filter each shows once, as it would inline.
+_registry: dict = {}
 
 
 def map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list[Any]:
@@ -12,12 +17,17 @@ def map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list[Any]:
     ``fork``-context process pool: ``fn`` must be a module-level function,
     and each task's arguments and result travel pickled.  Results come back
     in task order, and an exception a task raises reaches the caller with
-    its type and arguments.  Every worker has exited when this returns.
+    its type and arguments.  A worker applies the warning filters it
+    inherited and records what they let through; the caller then issues
+    those warnings again, in task order.  Every worker has exited when this
+    returns.  Where the platform cannot fork (Windows), the tasks run inline.
 
     ``fork`` rather than ``spawn``: a spawned worker imports NumPy, SciPy
     and submol again (about 0.35 s on a 2-core machine, longer than a
-    protocol trial), and submol starts no thread a fork could copy in the
-    middle of its work.
+    protocol trial).  A forked child runs only the thread that forked: a
+    BLAS library that keeps a thread pool (NumPy's OpenBLAS) starts it again
+    there, and Python 3.12 and later issue a ``DeprecationWarning`` when a
+    process that runs other threads forks.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -26,6 +36,22 @@ def map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list[Any]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*task) for task in tasks]
     context = multiprocessing.get_context("fork")
+    results = []
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        for result, caught in pool.map(_recording, [fn] * len(tasks), tasks):
+            for message, filename, lineno in caught:
+                warnings.warn_explicit(
+                    message, type(message), filename, lineno, registry=_registry
+                )
+            results.append(result)
+    return results
+
+
+def _recording(fn: Callable, task: tuple) -> tuple[Any, list[tuple[Warning, str, int]]]:
+    """``fn(*task)``, and the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(*task)
+    return result, [(w.message, w.filename, w.lineno) for w in caught]

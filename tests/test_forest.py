@@ -14,6 +14,7 @@ from submol.forest import (
     ForestConfig,
     ForestModel,
     _best_split,
+    _Bootstrap,
     _Columns,
     _pick_features,
     _split_scores,
@@ -32,9 +33,12 @@ def matrix_from(rows, labels):
 def best_split(X, y, criterion):
     """``_best_split`` over every row and column of a dense node."""
     X = np.asarray(X, dtype=float)
-    in_node = np.ones(len(y), dtype=bool)
-    cols = _Columns.of(sp.csr_matrix(X))
-    return _best_split(cols, np.asarray(y), in_node, np.arange(X.shape[1]), criterion)
+    n = len(y)
+    X = sp.csr_matrix(X)
+    node = _Bootstrap(
+        X, _Columns.of(X), np.asarray(y), np.ones(n, dtype=np.int64), np.ones(n, dtype=bool)
+    )
+    return _best_split(node, np.arange(n), np.arange(X.shape[1]), criterion)
 
 
 # --- dense reference ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from submol.features import (
     height_features,
 )
 from submol.forest import ForestConfig
+from submol.kernels import ZeroRowWarning
 from submol.graph import parse_smiles
 from submol.neural import NetConfig
 from submol.svm import SvmConfig
@@ -244,6 +246,29 @@ def test_no_worker_process_outlives_a_protocol_run():
         Protocol.parse("kfold:3"),
         seed=1,
     )
+    assert multiprocessing.active_children() == []
+
+
+def test_trial_warnings_reach_the_caller_with_worker_processes():
+    # The all-zero row warns in the cosine kernel of every trial.
+    data = numeric_matrix(
+        [[0.0, 0.0], [1.0, 0.2], [0.9, 0.1], [0.1, 1.0], [0.2, 0.8], [1.0, 0.3]],
+        [1, 1, 1, -1, -1, 1],
+    )
+    seen = []
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_protocol(
+                data,
+                PipelineSpec("rf", ForestConfig(trees=2), kernel="cosine", threads=threads),
+                Protocol.parse("kfold:2"),
+                seed=0,
+            )
+        seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert seen[0] == seen[1]
+    assert len(seen[0]) >= 2
+    assert all(category is ZeroRowWarning for category, *_ in seen[0])
     assert multiprocessing.active_children() == []
 
 
