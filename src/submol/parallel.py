@@ -5,10 +5,6 @@ from __future__ import annotations
 import warnings
 from typing import Any, Callable, Sequence
 
-#: The registry of the warnings that workers pass back: under a "default"
-#: filter each shows once, as it would inline.
-_registry: dict = {}
-
 
 def map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list[Any]:
     """``[fn(*task) for task in tasks]``, spread over ``workers`` processes.
@@ -40,12 +36,12 @@ def map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list[Any]:
         return [fn(*task) for task in tasks]
     context = multiprocessing.get_context("fork")
     results = []
+    # Under a "default" filter a warning shows once per call, not per task.
+    registry: dict = {}
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
         for result, caught in pool.map(_recording, [fn] * len(tasks), tasks):
             for message, filename, lineno in caught:
-                warnings.warn_explicit(
-                    message, type(message), filename, lineno, registry=_registry
-                )
+                warnings.warn_explicit(message, type(message), filename, lineno, registry=registry)
             results.append(result)
     return results
 
