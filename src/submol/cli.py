@@ -167,7 +167,7 @@ def _add_report(sub) -> None:
     p = _subparser(sub, "report", "score features with a model, write ROC")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--vocab", default=None)
+    p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
 
 
@@ -347,11 +347,9 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def _load_features(features_path: str, vocab_path: str | None) -> DatasetMatrix:
-    vocab = None
-    if vocab_path is not None:
-        with open(vocab_path, encoding="utf-8") as handle:
-            vocab = load_vocab(handle)
+def _load_features(features_path: str, vocab_path: str) -> DatasetMatrix:
+    with open(vocab_path, encoding="utf-8") as handle:
+        vocab = load_vocab(handle)
     with open(features_path, encoding="utf-8") as handle:
         return load_sparse(handle, vocab)
 
@@ -442,19 +440,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)
-    except ConfigError as exc:
+    except (ConfigError, KernelError) as exc:  # ValueErrors, so caught first
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except KernelError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, IngestError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError and IngestError too
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except TrainingError as exc:

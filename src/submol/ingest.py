@@ -248,11 +248,7 @@ def _graph_for(
     resolver: Resolver | None,
 ) -> MolecularGraph:
     if inline:
-        if kind == KIND_PROTEIN:
-            return protein_to_chain_graph(inline, name=ident)
-        graph = parse_smiles(inline)
-        graph.name = ident
-        return graph
+        return StructureRecord(ident, kind, ident, inline, "inline").to_graph()
     if resolver is None:
         raise ResolutionError(f"{ident}: no inline structure and no resolver")
     return resolver.resolve(ident, kind).to_graph()

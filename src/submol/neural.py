@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import ConfigError, TrainingError
 from .features import DatasetMatrix, scoring_rows
@@ -58,11 +59,11 @@ class NetParams:
     masked-out weights stay exactly zero and report exactly zero gradients.
     """
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
+    W1: NDArray[np.float64]
+    b1: NDArray[np.float64]
+    W2: NDArray[np.float64]
     b2: float
-    mask: np.ndarray | None = None
+    mask: NDArray[np.float64] | None = None
 
     def copy(self) -> "NetParams":
         return NetParams(

@@ -1,148 +1,98 @@
 """Self-describing model files.
 
-Models serialize to a versioned JSON container.  All floats go through
-Python's shortest round-trip repr, so save -> load -> save reproduces the
-file byte for byte.
+Models serialize to a versioned JSON container whose payload is the model's
+dataclass fields: nested dataclasses become objects and arrays become nested
+lists.  Loading rebuilds every field from its annotation, so a field added to
+or dropped from a model changes its files with no edit here.  The one
+exception is the kernelized model, whose payload holds its basis matrix and
+its inner model's whole document.  All floats go through Python's shortest
+round-trip repr, so save -> load -> save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import types
+import typing
 from typing import Any, TextIO
 
 import numpy as np
 import scipy.sparse as sp
 
 from .features import DatasetMatrix, FeatureVocabulary
-from .forest import ForestConfig, ForestModel
+from .forest import ForestModel
 from .kernels import KernelizedModel
-from .neural import NetConfig, NetModel, NetParams
-from .svm import SvmConfig, SvmModel
+from .neural import NetModel
+from .svm import SvmModel
 
 FORMAT = "submol-model"
 VERSION = 1
 
+_MODELS = {"forest": ForestModel, "net": NetModel, "svm": SvmModel}
 
-def _config_dict(cfg) -> dict[str, Any]:
-    return dataclasses.asdict(cfg)
+#: Fields stored under another key: (class, field name) -> file key.
+_FILE_KEYS = {(NetModel, "kind"): "net_kind"}
 
 
-def _forest_payload(model: ForestModel) -> dict[str, Any]:
+@functools.cache
+def _fields(cls) -> dict[str, tuple[str, Any]]:
+    """File key -> (field name, resolved annotation) for a dataclass."""
+    hints = typing.get_type_hints(cls)
     return {
-        "config": _config_dict(model.config),
-        "seed": model.seed,
-        "n_features": model.n_features,
-        "threshold": model.threshold,
-        "trees": model.trees,
+        _FILE_KEYS.get((cls, f.name), f.name): (f.name, hints[f.name])
+        for f in dataclasses.fields(cls)
     }
 
 
-def _forest_restore(payload: dict[str, Any]) -> ForestModel:
-    return ForestModel(
-        config=ForestConfig(**payload["config"]),
-        seed=payload["seed"],
-        n_features=payload["n_features"],
-        trees=payload["trees"],
-        threshold=payload["threshold"],
-    )
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        fields = _fields(type(value))
+        return {key: _encode(getattr(value, name)) for key, (name, _) in fields.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    return value
 
 
-def _params_payload(p: NetParams) -> dict[str, Any]:
-    return {
-        "W1": p.W1.tolist(),
-        "b1": p.b1.tolist(),
-        "W2": p.W2.tolist(),
-        "b2": p.b2,
-        "mask": None if p.mask is None else p.mask.tolist(),
-    }
-
-
-def _params_restore(d: dict[str, Any]) -> NetParams:
-    return NetParams(
-        np.asarray(d["W1"], dtype=float),
-        np.asarray(d["b1"], dtype=float),
-        np.asarray(d["W2"], dtype=float),
-        float(d["b2"]),
-        None if d["mask"] is None else np.asarray(d["mask"], dtype=float),
-    )
-
-
-def _net_payload(model: NetModel) -> dict[str, Any]:
-    return {
-        "net_kind": model.kind,
-        "config": _config_dict(model.config),
-        "seed": model.seed,
-        "n_features": model.n_features,
-        "threshold": model.threshold,
-        "epochs_run": model.epochs_run,
-        "params": _params_payload(model.params),
-        "snapshots": [_params_payload(p) for p in model.snapshots],
-    }
-
-
-def _net_restore(payload: dict[str, Any]) -> NetModel:
-    return NetModel(
-        kind=payload["net_kind"],
-        config=NetConfig(**payload["config"]),
-        seed=payload["seed"],
-        n_features=payload["n_features"],
-        params=_params_restore(payload["params"]),
-        snapshots=[_params_restore(p) for p in payload["snapshots"]],
-        epochs_run=payload["epochs_run"],
-        threshold=payload["threshold"],
-    )
-
-
-def _svm_payload(model: SvmModel) -> dict[str, Any]:
-    return {
-        "config": _config_dict(model.config),
-        "seed": model.seed,
-        "n_features": model.n_features,
-        "threshold": model.threshold,
-        "alphas": model.alphas.tolist(),
-        "bias": model.bias,
-        "sv_rows": model.sv_rows.tolist(),
-        "sv_labels": model.sv_labels.tolist(),
-        "sv_indices": model.sv_indices.tolist(),
-        "norm_w": model.norm_w,
-    }
-
-
-def _svm_restore(payload: dict[str, Any]) -> SvmModel:
-    rows = payload["sv_rows"]
-    sv_rows = np.asarray(rows, dtype=float) if rows else np.empty((0, 0))
-    return SvmModel(
-        config=SvmConfig(**payload["config"]),
-        seed=payload["seed"],
-        n_features=payload["n_features"],
-        alphas=np.asarray(payload["alphas"], dtype=float),
-        bias=float(payload["bias"]),
-        sv_rows=sv_rows,
-        sv_labels=np.asarray(payload["sv_labels"], dtype=float),
-        sv_indices=np.asarray(payload["sv_indices"], dtype=int),
-        norm_w=float(payload["norm_w"]),
-        threshold=payload["threshold"],
-    )
+def _decode(tp, value):
+    """Rebuild a value of annotated type ``tp`` from its JSON form."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        fields = _fields(tp)
+        if not isinstance(value, dict):
+            raise TypeError(f"{tp.__name__} must be an object")
+        if value.keys() != fields.keys():
+            missing = sorted(fields.keys() - value.keys())
+            unknown = sorted(value.keys() - fields.keys())
+            raise ValueError(f"{tp.__name__} missing keys {missing}, unknown keys {unknown}")
+        return tp(**{name: _decode(hint, value[key]) for key, (name, hint) in fields.items()})
+    if origin in (np.ndarray, list) and not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    if origin is np.ndarray:  # NDArray[dtype]
+        return np.asarray(value, dtype=typing.get_args(args[1])[0])
+    if origin is list:
+        return [_decode(args[0], item) for item in value]
+    if origin is types.UnionType and value is not None:
+        return _decode(args[0], value)  # X | None decodes as X; scalars pass through
+    return value
 
 
 def _matrix_payload(data: DatasetMatrix) -> dict[str, Any]:
-    X = data.X.tocoo() if sp.issparse(data.X) else sp.coo_matrix(data.X)
-    payload = {
+    X, vocab = sp.coo_matrix(data.X), data.vocab
+    if vocab is not None:
+        vocab = {"keys": list(vocab.keys), "masses": list(vocab.masses)}
+    return {
         "shape": list(X.shape),
         "rows": X.row.tolist(),
         "cols": X.col.tolist(),
         "vals": X.data.tolist(),
         "labels": data.y.tolist(),
         "ids": list(data.ids),
-        "vocab": None,
+        "vocab": vocab,
     }
-    if data.vocab is not None:
-        payload["vocab"] = {
-            "keys": list(data.vocab.keys),
-            "masses": list(data.vocab.masses),
-        }
-    return payload
 
 
 def _matrix_restore(payload: dict[str, Any]) -> DatasetMatrix:
@@ -151,67 +101,50 @@ def _matrix_restore(payload: dict[str, Any]) -> DatasetMatrix:
         shape=tuple(payload["shape"]),
         dtype=float,
     )
-    vocab = None
-    if payload["vocab"] is not None:
-        vocab = FeatureVocabulary(
-            tuple(payload["vocab"]["keys"]),
-            tuple(payload["vocab"]["masses"]),
-        )
+    vocab = payload["vocab"]
+    if vocab is not None:
+        vocab = FeatureVocabulary(tuple(vocab["keys"]), tuple(vocab["masses"]))
     return DatasetMatrix(X, np.asarray(payload["labels"]), tuple(payload["ids"]), vocab)
-
-
-_KINDS = {
-    ForestModel: ("forest", _forest_payload),
-    NetModel: ("net", _net_payload),
-    SvmModel: ("svm", _svm_payload),
-}
-
-_RESTORERS = {
-    "forest": _forest_restore,
-    "net": _net_restore,
-    "svm": _svm_restore,
-}
 
 
 def model_to_dict(model) -> dict[str, Any]:
     if isinstance(model, KernelizedModel):
-        return {
-            "format": FORMAT,
-            "version": VERSION,
-            "kind": "kernelized",
-            "payload": {
-                "kernel": model.kernel,
-                "basis": _matrix_payload(model.basis),
-                "inner": model_to_dict(model.inner),
-            },
+        kind = "kernelized"
+        payload = {
+            "kernel": model.kernel,
+            "basis": _matrix_payload(model.basis),
+            "inner": model_to_dict(model.inner),
         }
-    for cls, (kind, payload_fn) in _KINDS.items():
-        if isinstance(model, cls):
-            return {
-                "format": FORMAT,
-                "version": VERSION,
-                "kind": kind,
-                "payload": payload_fn(model),
-            }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    else:
+        kind = next((k for k, cls in _MODELS.items() if isinstance(model, cls)), None)
+        if kind is None:
+            raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+        payload = _encode(model)
+    return {"format": FORMAT, "version": VERSION, "kind": kind, "payload": payload}
 
 
-def model_from_dict(doc: dict[str, Any]):
-    if doc.get("format") != FORMAT:
+def model_from_dict(doc):
+    """Rebuild a model; a malformed document raises ValueError."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError("not a model file")
     if doc.get("version") != VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
     kind = doc.get("kind")
-    if kind == "kernelized":
+    if kind not in (*_MODELS, "kernelized"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    try:
         payload = doc["payload"]
+        if kind != "kernelized":
+            return _decode(_MODELS[kind], payload)
         return KernelizedModel(
             payload["kernel"],
             _matrix_restore(payload["basis"]),
             model_from_dict(payload["inner"]),
         )
-    if kind not in _RESTORERS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return _RESTORERS[kind](doc["payload"])
+    except KeyError as exc:
+        raise ValueError(f"malformed {kind} model: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} model: {exc}") from exc
 
 
 def save_model(stream: TextIO, model) -> None:

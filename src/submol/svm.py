@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import ConfigError, TrainingError
 from .features import DatasetMatrix, scoring_rows
@@ -61,11 +62,11 @@ class SvmModel:
     config: SvmConfig
     seed: int
     n_features: int
-    alphas: np.ndarray
+    alphas: NDArray[np.float64]
     bias: float
-    sv_rows: np.ndarray  # training rows (or empty for precomputed kernels)
-    sv_labels: np.ndarray
-    sv_indices: np.ndarray
+    sv_rows: NDArray[np.float64]  # training rows (or empty for precomputed kernels)
+    sv_labels: NDArray[np.float64]
+    sv_indices: NDArray[np.intp]
     norm_w: float
     threshold: float = 0.0
 

@@ -450,6 +450,48 @@ def test_single_class_training_is_exit_4(tmp_path, capsys):
     assert "training error" in capsys.readouterr().err
 
 
+def train_small_forest(smiles_file, out_dir):
+    _, features, vocab = featurize(smiles_file, out_dir, "--heights", "0-1")
+    model = os.path.join(out_dir, "model.json")
+    assert main(["train", "--features", features, "--vocab", vocab,
+                 "--algo", "rf", "--trees", "2", "--model-out", model]) == 0
+    return model, features, vocab
+
+
+def _with_config_field(doc):
+    doc["payload"]["config"]["bogus"] = 1
+    return doc
+
+
+@pytest.mark.parametrize("malform, named", [
+    (lambda doc: [1, 2], "not a model file"),
+    (lambda doc: {**doc, "payload": {}}, "malformed forest model"),
+    (lambda doc: {**doc, "kind": "svm", "payload": {"config": {}}}, "malformed svm model"),
+    (_with_config_field, "malformed forest model"),
+], ids=["not-an-object", "empty-payload", "svm-config-only", "unknown-config-field"])
+def test_malformed_model_is_exit_3(smiles_file, tmp_path, capsys, malform, named):
+    model, features, vocab = train_small_forest(smiles_file, str(tmp_path))
+    with open(model, encoding="utf-8") as handle:
+        doc = malform(json.load(handle))
+    with open(model, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    capsys.readouterr()
+    code = main(["report", "--model", model, "--features", features,
+                 "--vocab", vocab, "--out", str(tmp_path / "roc.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and named in err
+
+
+def test_report_without_vocab_is_exit_2(smiles_file, tmp_path, capsys):
+    model, features, _ = train_small_forest(smiles_file, str(tmp_path))
+    capsys.readouterr()
+    code = main(["report", "--model", model, "--features", features,
+                 "--out", str(tmp_path / "roc.csv")])
+    assert code == 2
+    assert "--vocab" in capsys.readouterr().err
+
+
 def test_failing_trial_exits_the_same_with_worker_processes(tmp_path, capsys):
     path = tmp_path / "mols.smi"
     path.write_text("C +1\nCC -1\nCCC -1\nCCCC -1\nCCCCC -1\nCCO -1\n", encoding="utf-8")
