@@ -16,7 +16,9 @@ apart in concatenated vectors.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -50,6 +52,12 @@ def parse_feature_key(key: str) -> tuple[str, int, int]:
     height = int(head)
     dist = int(rest.split("|", 1)[0]) if "|" in rest else 0
     return namespace, height, dist
+
+
+#: The text of a feature key up to and including its second "|" (its first
+#: "|" when there is one only; the whole key when there is none).
+#: :func:`parse_feature_key` reads the same block from it as from the key.
+_BLOCK_PREFIX = re.compile(r"[^|]*(?:\|(?:[^|]*\|)?)?")
 
 
 def prefix_features(vector: FeatureVector, namespace: str) -> FeatureVector:
@@ -192,10 +200,15 @@ class FeatureVocabulary:
     def _block_table(self) -> tuple[tuple[tuple[str, int, int], ...], np.ndarray]:
         table = self.__dict__.get("_blocks")
         if table is None:
-            parsed = [parse_feature_key(key) for key in self.keys]
-            labels = sorted(set(parsed))
+            # a key's block is fixed by its text up to the second "|", which
+            # many keys share: parse each distinct prefix once
+            prefixes = [_BLOCK_PREFIX.match(key).group() for key in self.keys]
+            parsed = {p: parse_feature_key(p) for p in set(prefixes)}
+            labels = sorted(set(parsed.values()))
             number = {b: i for i, b in enumerate(labels)}
-            ids = np.fromiter((number[b] for b in parsed), np.intp, len(parsed))
+            ids = np.fromiter(
+                (number[parsed[p]] for p in prefixes), np.intp, len(prefixes)
+            )
             table = self._set_block_table(tuple(labels), ids)
         return table
 
@@ -223,7 +236,8 @@ class DatasetMatrix:
     as kernel similarity rows, in which case ``vocab`` is None).  The
     kernels and the forest read the sparse rows as they are; the SVM and
     the nets still densify them through :meth:`dense`.  Labels are strictly
-    +1/-1.
+    +1/-1.  A matrix read by :func:`load_sparse` is built directly from the
+    file's CSR arrays: ascending columns, no duplicates, finite counts.
     """
 
     X: sp.csr_matrix | np.ndarray
@@ -310,23 +324,36 @@ def build_matrix(
 # --- Files -----------------------------------------------------------------
 
 
+#: About how many items :func:`save_sparse` formats per call.  A block's
+#: template and argument list take some 200 bytes an item, so a few MB.
+SAVE_BLOCK_ITEMS = 1 << 14
+
+#: ``%`` specifiers of a non-integral and an integral item: ``%r`` formats a
+#: count as its repr, ``%d`` an integral float as ``str(int(value))``.
+_ITEM_SPECS = np.array([" %d:%r", " %d:%d"], dtype=object)
+
+
 def save_sparse(stream: TextIO, data: DatasetMatrix) -> None:
-    """Write ``<±1> <col>:<count> ...`` lines, 1-based ascending columns."""
-    X = data.X.tocsr() if sp.issparse(data.X) else sp.csr_matrix(data.X)
-    for r in range(X.shape[0]):
-        start, end = X.indptr[r], X.indptr[r + 1]
-        cols = X.indices[start:end]
-        vals = X.data[start:end]
-        order = np.argsort(cols)
-        parts = [f"{data.y[r]:+d}"]
-        parts.extend(
-            f"{cols[i] + 1}:{_format_count(vals[i])}" for i in order
+    """Write ``<±1> <col>:<count> ...`` lines, 1-based ascending columns.
+
+    An integral count is written as an integer, any other as its shortest
+    round-trip repr.  Each block of rows is formatted by one ``%`` call.
+    """
+    X = sp.csr_matrix(data.X).sorted_indices()
+    step = max(1, SAVE_BLOCK_ITEMS * X.shape[0] // max(X.nnz, 1))
+    for r0 in range(0, X.shape[0], step):
+        starts = X.indptr[r0 : r0 + step + 1]
+        lo, hi = starts[0], starts[-1]
+        vals = X.data[lo:hi]
+        integral = np.isfinite(vals) & (vals == np.floor(vals))
+        specs, bounds = _ITEM_SPECS[integral.view(np.int8)].tolist(), (starts - lo).tolist()
+        template = "".join(
+            "%+d" + "".join(specs[a:b]) + "\n" for a, b in zip(bounds, bounds[1:])
         )
-        stream.write(" ".join(parts) + "\n")
-
-
-def _format_count(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
+        # each row's label, then its (column, count) pairs
+        pairs = np.column_stack([X.indices[lo:hi] + 1.0, vals]).ravel()
+        args = np.insert(pairs, 2 * (starts[:-1] - lo), data.y[r0 : r0 + step])
+        stream.write(template % tuple(args.tolist()))
 
 
 def save_vocab(stream: TextIO, vocab: FeatureVocabulary) -> None:
@@ -356,12 +383,17 @@ def load_vocab(stream: TextIO) -> FeatureVocabulary:
 def load_sparse(
     stream: TextIO, vocab: FeatureVocabulary | None = None
 ) -> DatasetMatrix:
-    """Read a sparse feature file written by :func:`save_sparse`."""
+    """Read a sparse feature file written by :func:`save_sparse`.
+
+    Each line gives its label and its item count.  The ``col:count`` items
+    of the whole file are then converted together, by the ``int`` and
+    ``float`` text rules and with their error messages, and the CSR matrix
+    is built from the arrays.  A malformed file, a count that is not finite
+    included, raises ``ValueError``.
+    """
     labels: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    width = 0
+    lengths: list[int] = []
+    chunks: list[str] = []
     for line in stream:
         fields = line.split()
         if not fields:
@@ -369,25 +401,40 @@ def load_sparse(
         label = int(fields[0])
         if label not in (-1, 1):
             raise ValueError(f"label {fields[0]!r} is not +1 or -1")
-        r = len(labels)
+        items = fields[1:]
+        if line.count(":") != len(items) or not all(map(operator.contains, items, repeat(":"))):
+            # items split together only when each holds one ":"; the first
+            # that does not is converted on its own, which raises its error
+            col_text, _, count_text = next(i for i in items if i.count(":") != 1).partition(":")
+            int(col_text)
+            float(count_text)  # raises: the count is empty or holds a ":"
         labels.append(label)
-        last = 0
-        for item in fields[1:]:
-            col_text, _, val_text = item.partition(":")
-            col = int(col_text)
-            if col <= last:
-                raise ValueError("columns must be ascending and 1-based")
-            last = col
-            rows.append(r)
-            cols.append(col - 1)
-            vals.append(float(val_text))
-            width = max(width, col)
+        lengths.append(len(items))
+        if items:
+            chunks.append(" ".join(items))
     if not labels:
         raise ValueError("empty feature file")
+    parts = " ".join(chunks).replace(":", " ").split(" ") if chunks else []
+    try:
+        cols = np.array(parts[0::2], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("feature file references columns beyond the vocabulary") from None
+    vals = np.array(parts[1::2], dtype=float)
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    # a row's first column against 0, every other against its predecessor
+    steps = np.diff(cols, prepend=0)
+    firsts = indptr[:-1][indptr[:-1] < len(cols)]
+    steps[firsts] = cols[firsts]
+    if (steps <= 0).any():
+        raise ValueError("columns must be ascending and 1-based")
+    if not np.isfinite(vals).all():
+        raise ValueError("feature counts must be finite")
+    width = int(cols.max(initial=0))
     if vocab is not None:
         if width > len(vocab):
             raise ValueError("feature file references columns beyond the vocabulary")
         width = len(vocab)
-    X = sp.csr_matrix((vals, (rows, cols)), shape=(len(labels), width), dtype=float)
+    X = sp.csr_matrix((vals, cols - 1, indptr), shape=(len(labels), width))
     ids = tuple(str(i) for i in range(len(labels)))
     return DatasetMatrix(X, np.asarray(labels), ids, vocab)

@@ -61,6 +61,10 @@ class ForestModel:
     trees: list[dict[str, Any]] = field(default_factory=list)
     threshold: float = 0.5
 
+    def __post_init__(self):
+        for t, tree in enumerate(self.trees):
+            _check_tree(t, tree, self.n_features)
+
     def score_rows(self, X) -> np.ndarray:
         X = X.tocsc() if sp.issparse(X) else np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
@@ -313,6 +317,37 @@ def _grow_tree(
         stack.append((idx[~go_left], node_id, "right"))
         stack.append((idx[go_left], node_id, "left"))
     return nodes
+
+
+def _check_tree(t: int, tree: Any, n_features: int) -> None:
+    """Raise ValueError unless tree ``t`` has the schema :func:`_grow_tree`
+    writes.
+
+    A leaf holds only a number ``prob``.  An internal node holds only an
+    integer ``feature`` in ``[0, n_features)``, a number ``threshold``, and
+    ``left`` and ``right`` children numbered after it and inside the tree,
+    so every walk from the root ends at a leaf.
+    """
+    nodes = tree.get("nodes") if isinstance(tree, dict) else None
+    if not isinstance(nodes, list) or not nodes:
+        raise ValueError(f"tree {t} has no node list")
+    numbers = (int, float)  # a type test, so True and False are not numbers
+    for i, node in enumerate(nodes):
+        size = len(node) if type(node) is dict else 0
+        if size == 1:
+            valid = type(node.get("prob")) in numbers
+        elif size == 4:
+            feature, left, right = node.get("feature"), node.get("left"), node.get("right")
+            valid = (
+                type(feature) is int and 0 <= feature < n_features
+                and type(node.get("threshold")) in numbers
+                and type(left) is int and type(right) is int
+                and i < left < len(nodes) and i < right < len(nodes)
+            )
+        else:
+            valid = False
+        if not valid:
+            raise ValueError(f"tree {t} node {i} is neither a leaf nor a split: {node!r}")
 
 
 def _tree_scores(nodes: list[dict[str, Any]], X) -> np.ndarray:

@@ -174,13 +174,37 @@ def gram_matrix(data: DatasetMatrix, kernel: str = "cosine") -> GramMatrix:
     return GramMatrix(kernel_feature_rows(data, data, kernel), data.ids)
 
 
+#: About how many values :func:`save_gram` formats per block of rows; its
+#: texts and indices take some 64 bytes a value, so a few MB.
+SAVE_BLOCK_CELLS = 1 << 16
+
+
 def save_gram(stream: TextIO, gram: GramMatrix) -> None:
-    """Write the matrix: a header line with n, then n rows of n decimals."""
+    """Write the matrix: a header line with n, then n rows of n ``%.17g``
+    decimals.
+
+    Rows go out in blocks of about :data:`SAVE_BLOCK_CELLS` values.  Kernel
+    values repeat, so a block formats each distinct value once, found by
+    its bit pattern (``-0.0`` and NaN stay exact), and gathers its rows from
+    those texts.  Where a block's distinct values are more than half its
+    cells, formatting them costs more than it saves, and the block goes
+    through the one-row template instead.
+    """
     n = len(gram.ids)
     stream.write(f"{n}\n")
     line = " ".join(["%.17g"] * n) + "\n"
-    for row in gram.values:
-        stream.write(line % tuple(row.tolist()))
+    step = max(1, SAVE_BLOCK_CELLS // max(n, 1))
+    for r0 in range(0, n, step):
+        block = np.ascontiguousarray(gram.values[r0 : r0 + step])
+        distinct = np.count_nonzero(np.diff(np.sort(block.view(np.uint64), axis=None))) + 1
+        if 2 * distinct > block.size:
+            for row in block.tolist():
+                stream.write(line % tuple(row))
+            continue
+        bits, cell = np.unique(block.view(np.uint64), return_inverse=True)
+        texts = (" ".join(["%.17g"] * len(bits)) % tuple(bits.view(float).tolist())).split(" ")
+        words = np.array(texts, dtype=object)[cell.reshape(block.shape)]
+        stream.write("".join(" ".join(row) + "\n" for row in words.tolist()))
 
 
 def load_gram(stream: TextIO, ids: Sequence[str] | None = None) -> GramMatrix:

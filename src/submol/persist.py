@@ -148,7 +148,12 @@ def model_from_dict(doc):
 
 
 def save_model(stream: TextIO, model) -> None:
-    json.dump(model_to_dict(model), stream, sort_keys=True, separators=(",", ":"))
+    """Write the model as one line of JSON.
+
+    ``json.dumps`` encodes the whole document in C; ``json.dump`` never
+    does, and writes it piece by piece from Python.
+    """
+    stream.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
     stream.write("\n")
 
 

@@ -13,6 +13,7 @@ import itertools
 import random
 
 import numpy as np
+import scipy.sparse as sp
 
 from submol.graph import AtomNode, MolecularGraph
 
@@ -213,3 +214,70 @@ def perceptron_separable(X, y, epochs: int = 500) -> bool:
         if mistakes == 0:
             return True
     return False
+
+
+# --- Reference artifact readers and writers ---------------------------------
+#
+# The one-value-per-call file routines that the array-speed readers and
+# writers in ``submol.features`` and ``submol.kernels`` replaced.  They define
+# the file bytes and the matrices read back, so tests compare against them.
+
+
+def reference_save_sparse(stream, data) -> None:
+    """``<±1> <col>:<count> ...`` lines, one formatted item at a time."""
+    X = data.X.tocsr() if sp.issparse(data.X) else sp.csr_matrix(data.X)
+    for r in range(X.shape[0]):
+        start, end = X.indptr[r], X.indptr[r + 1]
+        cols = X.indices[start:end]
+        vals = X.data[start:end]
+        order = np.argsort(cols)
+        parts = [f"{data.y[r]:+d}"]
+        for i in order:
+            value = float(vals[i])
+            text = str(int(value)) if value.is_integer() else repr(value)
+            parts.append(f"{cols[i] + 1}:{text}")
+        stream.write(" ".join(parts) + "\n")
+
+
+def reference_load_sparse(stream):
+    """(CSR matrix, labels) of a sparse feature file, one item at a time."""
+    labels: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    width = 0
+    for line in stream:
+        fields = line.split()
+        if not fields:
+            continue
+        label = int(fields[0])
+        if label not in (-1, 1):
+            raise ValueError(f"label {fields[0]!r} is not +1 or -1")
+        r = len(labels)
+        labels.append(label)
+        last = 0
+        for item in fields[1:]:
+            col_text, _, val_text = item.partition(":")
+            col = int(col_text)
+            if col <= last:
+                raise ValueError("columns must be ascending and 1-based")
+            last = col
+            rows.append(r)
+            cols.append(col - 1)
+            vals.append(float(val_text))
+            width = max(width, col)
+    if not labels:
+        raise ValueError("empty feature file")
+    X = sp.csr_matrix(
+        (vals, (rows, cols)), shape=(len(labels), width), dtype=float
+    )
+    return X, np.asarray(labels)
+
+
+def reference_save_gram(stream, gram) -> None:
+    """A header line with n, then n rows of n ``%.17g`` decimals."""
+    n = len(gram.ids)
+    stream.write(f"{n}\n")
+    line = " ".join(["%.17g"] * n) + "\n"
+    for row in gram.values:
+        stream.write(line % tuple(row.tolist()))

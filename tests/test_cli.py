@@ -1,9 +1,12 @@
 """Command-line tests: subcommands, config layering, exit codes, determinism."""
 
+import hashlib
 import json
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,7 @@ from submol.graph import parse_smiles
 from helpers import nitro_smiles_dataset
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # --- range parsing ----------------------------------------------------------
@@ -233,6 +237,53 @@ def test_seed_changes_model(nitro_file, tmp_path):
     b = run_chain(nitro_file, str(tmp_path / "b"), seed="1")
     assert a["model"] != b["model"]
     assert a["features"] == b["features"]  # featurization has no randomness
+
+
+# sha256 of every file featurize, gram, train and report write for one corpus
+# in each mode: the artifact formats are pinned byte for byte.
+PINNED_ARTIFACTS = {
+    "height-rf": (
+        ["--input", os.path.join(DATA, "bursi_mini.sdf"), "--format", "sdf",
+         "--label-key", "Ames", "--positive-value", "mutagen", "--heights", "0-2"],
+        ["--algo", "rf", "--trees", "4", "--seed", "3"],
+        {
+            "features": "e56628b4b2afa8b2609c5a8fe02007aaea8334dd9fedb705c0095dd891d8c140",
+            "vocab": "69d758b33e013a574a3bdeeb9a9b3089e21f1638cf6948cb5ef92438f0877fd0",
+            "gram": "c645556982976295f504f499d5a21ec4b6cea38cecfa4853c688da6c1d8a75f0",
+            "model": "22e3f70feeb4a0e9d89110119a5bb63316ea2df6d911246d371d862430a88416",
+            "roc": "1d1e32970ebdfb3198eb6876ae2669f80f17c7188824fb1d8f98db87a3a82d45",
+        },
+    ),
+    "pair-svm-nspdk": (
+        ["--input", os.path.join(DATA, "interaction_200.csv"), "--format", "pairs",
+         "--mode", "pair", "--heights", "0-1", "--distances", "0-2"],
+        ["--algo", "svm", "--kernel", "nspdk"],
+        {
+            "features": "116c94ea775189cadb59c1c6a029578e3dbbb18e37afdb747d03ff3ef5672324",
+            "vocab": "086030234d9efd3b4cfe8647aa99741781b712b07364a5f327360735da750a7e",
+            "gram": "09b509040d6c8952db2a64c3c73fa54d4f319ea5165bdb95129f43377db274c7",
+            "model": "a83219dcc4d8365360da4135916a7dc7f2dbadc494c09e91e09705bf38be262f",
+            "roc": "ca1abcab5c50b6d363ef7c456fb1be556470ff1aff69ca3749e44d75d913becb",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_artifact_files_are_pinned(name, tmp_path):
+    featurize_flags, fit_flags, pinned = PINNED_ARTIFACTS[name]
+    paths = {key: str(tmp_path / key) for key in pinned}
+    data = ["--features", paths["features"], "--vocab", paths["vocab"]]
+    assert main(["featurize", *featurize_flags, "--out-features", paths["features"],
+                 "--out-vocab", paths["vocab"]]) == 0
+    assert main(["gram", *data, "--kernel", "nspdk", "--out", paths["gram"]]) == 0
+    assert main(["train", *data, *fit_flags, "--model-out", paths["model"]]) == 0
+    assert main(["report", "--model", paths["model"], *data, "--out", paths["roc"]]) == 0
+    digests = {
+        key: hashlib.sha256(open(path, "rb").read()).hexdigest()
+        for key, path in paths.items()
+    }
+    assert digests == pinned
 
 
 def test_train_with_kernel_wraps_model(smiles_file, tmp_path, capsys):
@@ -481,6 +532,64 @@ def test_malformed_model_is_exit_3(smiles_file, tmp_path, capsys, malform, named
     assert code == 3
     err = capsys.readouterr().err
     assert "input error" in err and named in err
+
+
+def _root_loops_back(doc):
+    root = doc["payload"]["trees"][0]["nodes"][0]
+    root["left"], root["threshold"] = 0, 1e300  # every row goes left, to the root
+    return doc
+
+
+def _root_without_split(doc):
+    root = doc["payload"]["trees"][0]["nodes"][0]
+    del root["threshold"], root["left"], root["right"]
+    return doc
+
+
+@pytest.mark.parametrize("malform", [_root_loops_back, _root_without_split],
+                         ids=["cycle", "missing-keys"])
+def test_malformed_forest_tree_is_exit_3(nitro_file, tmp_path, malform):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0-1")
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--features", features, "--vocab", vocab, "--algo", "rf",
+                 "--trees", "2", "--model-out", model]) == 0
+    with open(model, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    assert "feature" in doc["payload"]["trees"][0]["nodes"][0]
+    with open(model, "w", encoding="utf-8") as handle:
+        json.dump(malform(doc), handle)
+    # a process of its own, so that a model that makes scoring loop fails the
+    # test by its timeout instead of hanging the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "submol", "report", "--model", model,
+         "--features", features, "--vocab", vocab, "--out", str(tmp_path / "roc.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 3, result.stderr[-2000:]
+    assert "malformed forest model: tree 0 node 0" in result.stderr
+
+
+@pytest.mark.parametrize("count", ["nan", "inf", "1e400"])
+def test_non_finite_count_is_exit_3(nitro_file, tmp_path, capsys, count):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0-1")
+    with open(features, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    label, item, *rest = lines[0].split()
+    lines[0] = " ".join([label, item.partition(":")[0] + ":" + count, *rest])
+    with open(features, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    data = ["--features", features, "--vocab", vocab]
+    for argv in (
+        ["gram", *data, "--kernel", "nspdk", "--out", str(tmp_path / "gram.txt")],
+        ["evaluate", *data, "--algo", "rf", "--trees", "2", "--protocol", "kfold:3",
+         "--out-metrics", str(tmp_path / "m.csv"), "--out-summary", str(tmp_path / "s.json")],
+        ["train", *data, "--algo", "svm", "--model-out", str(tmp_path / "model.json")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3, argv[0]
+        assert "input error: feature counts must be finite" in capsys.readouterr().err
 
 
 def test_report_without_vocab_is_exit_2(smiles_file, tmp_path, capsys):

@@ -11,8 +11,9 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import random_molecule_smiles
+from helpers import random_molecule_smiles, reference_load_sparse, reference_save_sparse
 
+from submol import features
 from submol.features import (
     DatasetMatrix,
     FeatureVector,
@@ -290,24 +291,81 @@ def test_sparse_round_trip():
     assert loaded.vocab is data.vocab
 
 
+def _count_matrices():
+    rng = np.random.default_rng(8)
+    counts = sp.random(30, 50, density=0.2, random_state=9, format="csr")
+    counts.data = np.floor(counts.data * 6) + 1
+    odd = counts.copy()
+    odd.data[::3] = rng.choice(
+        [0.5, 1 / 3, 1e-300, 2.5e20, 1e22, -2.0, -0.0, 0.0], size=len(odd.data[::3])
+    )
+    empty_rows = counts.copy()
+    for r in (0, 13, 29):
+        empty_rows.data[empty_rows.indptr[r] : empty_rows.indptr[r + 1]] = 0.0
+    empty_rows.eliminate_zeros()
+    return {"counts": counts, "non-integer-and-stored-zeros": odd,
+            "empty-rows": empty_rows, "dense": odd.toarray()}
+
+
+@pytest.mark.parametrize("items", [features.SAVE_BLOCK_ITEMS, 40])
+@pytest.mark.parametrize("name", sorted(_count_matrices()))
+def test_sparse_files_match_the_item_by_item_routines(name, items, monkeypatch):
+    X = _count_matrices()[name]
+    labels = np.where(np.arange(X.shape[0]) % 3, 1, -1)
+    data = DatasetMatrix(X, labels, tuple(str(i) for i in range(X.shape[0])), None)
+    monkeypatch.setattr(features, "SAVE_BLOCK_ITEMS", items)
+    out, reference = io.StringIO(), io.StringIO()
+    save_sparse(out, data)
+    reference_save_sparse(reference, data)
+    assert out.getvalue() == reference.getvalue()
+    loaded = load_sparse(io.StringIO(out.getvalue()))
+    X_ref, y_ref = reference_load_sparse(io.StringIO(out.getvalue()))
+    assert loaded.X.shape == X_ref.shape and loaded.y.tolist() == y_ref.tolist()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(loaded.X, part), getattr(X_ref, part))
+
+
+def test_load_sparse_rejects_non_finite_counts():
+    for count in ("nan", "-inf", "1e400"):
+        with pytest.raises(ValueError, match="feature counts must be finite"):
+            load_sparse(io.StringIO(f"+1 1:2 3:{count}\n-1 2:1\n"))
+
+
 def test_load_sparse_without_vocab_uses_max_column():
     loaded = load_sparse(io.StringIO("+1 1:1 5:2\n-1 2:1\n"))
     assert loaded.X.shape == (2, 5)
     assert loaded.vocab is None
 
 
+# Each malformed file and the ValueError message it raises, as recorded
+# from the one-item-at-a-time reader (tests/helpers.reference_load_sparse).
+MALFORMED_FEATURE_FILES = [
+    ("2 1:1\n", "label '2' is not +1 or -1"),
+    ("x 1:1\n", "invalid literal for int() with base 10: 'x'"),
+    ("+1 3:1 2:1\n", "columns must be ascending and 1-based"),
+    ("+1 2:1 2:3\n", "columns must be ascending and 1-based"),
+    ("+1 0:1\n", "columns must be ascending and 1-based"),
+    ("-1 1:1\n+1 2:1 1:1\n", "columns must be ascending and 1-based"),
+    ("+1 3\n", "could not convert string to float: ''"),
+    ("+1 1:1:2\n", "could not convert string to float: '1:2'"),
+    ("+1 x:1\n", "invalid literal for int() with base 10: 'x'"),
+    ("+1 :1\n", "invalid literal for int() with base 10: ''"),
+    ("+1 1:y\n", "could not convert string to float: 'y'"),
+    ("", "empty feature file"),
+    ("\n\n  \n", "empty feature file"),
+]
+
+
 def test_load_sparse_rejects_malformed():
-    with pytest.raises(ValueError, match=r"not \+1 or -1"):
-        load_sparse(io.StringIO("2 1:1\n"))
-    with pytest.raises(ValueError, match="ascending"):
-        load_sparse(io.StringIO("+1 3:1 2:1\n"))
-    with pytest.raises(ValueError, match="ascending"):
-        load_sparse(io.StringIO("+1 0:1\n"))
-    with pytest.raises(ValueError, match="empty"):
-        load_sparse(io.StringIO(""))
+    for text, message in MALFORMED_FEATURE_FILES:
+        for load in (load_sparse, reference_load_sparse):
+            with pytest.raises(ValueError) as caught:
+                load(io.StringIO(text))
+            assert (type(caught.value), str(caught.value)) == (ValueError, message), text
     vocab = FeatureVocabulary(("0|a",), (1.0,))
-    with pytest.raises(ValueError, match="beyond"):
-        load_sparse(io.StringIO("+1 2:1\n"), vocab=vocab)
+    for text in ("+1 2:1\n", "+1 99999999999999999999:1\n"):
+        with pytest.raises(ValueError, match="beyond"):
+            load_sparse(io.StringIO(text), vocab=vocab)
 
 
 def test_vocab_file_format_exact():

@@ -293,6 +293,33 @@ def test_model_averages_trees():
     assert model.score_rows(np.array([3.0]))[0] == 0.5
 
 
+def _split(**changes):
+    node = {"feature": 1, "threshold": 0.5, "left": 1, "right": 2}
+    return [{**node, **changes}, {"prob": 0.0}, {"prob": 1.0}]
+
+
+@pytest.mark.parametrize("nodes", [
+    [],
+    [{"prob": "high"}],
+    [{"prob": True}],
+    [{"prob": 1.0, "left": 1}],
+    _split(feature=2),
+    _split(feature=-1),
+    _split(feature=1.0),
+    _split(threshold=None),
+    _split(left=0),
+    _split(right=3),
+    _split(right=False),
+    [{"feature": 1, "threshold": 0.5, "left": 1}, {"prob": 0.0}],
+], ids=["empty", "text-prob", "bool-prob", "leaf-extra-key", "feature-too-large",
+        "feature-negative", "feature-float", "no-threshold", "child-is-self",
+        "child-outside", "bool-child", "no-right"])
+def test_model_rejects_trees_outside_the_schema(nodes):
+    with pytest.raises(ValueError, match="tree 0"):
+        ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": nodes, "bootstrap": []}])
+    ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": _split(), "bootstrap": []}])  # valid
+
+
 def test_score_rows_checks_width():
     model = ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": [{"prob": 1.0}], "bootstrap": []}])
     with pytest.raises(ValueError, match="features"):

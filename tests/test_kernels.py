@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from helpers import reference_save_gram
 
 from submol import kernels
 from submol.features import (
@@ -385,6 +386,40 @@ def test_gram_file_round_trip():
     # %.17g keeps every float bit for doubles
     assert np.array_equal(loaded.values, gram.values)
     assert loaded.ids == gram.ids
+
+
+def _gram_cases():
+    rng = np.random.default_rng(3)
+    spread = rng.random((40, 40))
+    special = rng.choice([0.0, -0.0, np.nan, -np.nan, 1.0, 0.5, 1e-300], size=(30, 30))
+    # a few values in the first rows, all distinct ones below them, so that
+    # blocks fall on both sides of the distinct-value choice
+    mixed = rng.random((24, 24))
+    mixed[:12] = rng.choice([0.25, 1 / 3, 0.0], size=(12, 24))
+    return {
+        "symmetric": (spread + spread.T) / 2,
+        "asymmetric": spread,
+        "zeros-and-nans": special,
+        "mixed": mixed,
+        "one": np.array([[1 / 3]]),
+        "empty": np.zeros((0, 0)),
+    }
+
+
+@pytest.mark.parametrize("cells", [kernels.SAVE_BLOCK_CELLS, 48])
+@pytest.mark.parametrize("name", sorted(_gram_cases()))
+def test_gram_file_matches_the_row_template(name, cells, monkeypatch):
+    values = _gram_cases()[name]
+    gram = GramMatrix(values, tuple(str(i) for i in range(len(values))))
+    monkeypatch.setattr(kernels, "SAVE_BLOCK_CELLS", cells)
+    out, reference = io.StringIO(), io.StringIO()
+    save_gram(out, gram)
+    reference_save_gram(reference, gram)
+    assert out.getvalue() == reference.getvalue()
+    if name == "mixed" and cells == 48:  # 2 rows per block
+        shares = [len(np.unique(values[r : r + 2])) / values[r : r + 2].size
+                  for r in range(0, len(values), 2)]
+        assert min(shares) <= 0.5 < max(shares)
 
 
 def test_load_gram_rejects_malformed():
