@@ -277,10 +277,11 @@ def _read_heights_distances(args) -> tuple[list[int], list[int]]:
 
 def _featurize_molecules(args, heights, distances):
     vectors, labels, skipped = [], [], 0
+    memo = {}  # one memo for every molecule of the command
     featurize = (
-        (lambda g: height_features(g, heights))
+        (lambda g: height_features(g, heights, memo=memo))
         if args.mode == "height"
-        else (lambda g: pair_features(g, heights, distances))
+        else (lambda g: pair_features(g, heights, distances, memo=memo))
     )
     if args.input_format == "smiles":
         with open(args.input, encoding="utf-8") as handle:

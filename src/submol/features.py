@@ -24,8 +24,12 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 import scipy.sparse as sp
 
+from . import signatures
 from .graph import MolecularGraph
-from .signatures import Signature, canonical_signature, neighborhood_subgraph
+from .signatures import node_token, subgraph_mass
+
+# Not called here; the benchmark's tracer (bench/spans.py) patches this name.
+from .signatures import neighborhood_subgraph  # noqa: F401
 
 
 @dataclass
@@ -68,31 +72,105 @@ def prefix_features(vector: FeatureVector, namespace: str) -> FeatureVector:
     return out
 
 
+#: One neighborhood as featurization counts it: its ``"<h>|<key>"`` feature
+#: key, its canonical key and its mass.
+Neighborhood = tuple[str, str, float]
+
+
 def _signature_table(
-    graph: MolecularGraph, heights: Sequence[int]
-) -> dict[int, list[Signature]]:
-    return {
-        h: [
-            canonical_signature(neighborhood_subgraph(graph, a, h))
-            for a in range(len(graph))
-        ]
-        for h in heights
-    }
+    graph: MolecularGraph, heights: Sequence[int], memo: dict[str, Neighborhood]
+) -> dict[int, list[Neighborhood]]:
+    """Every root's neighborhood at each of the ascending ``heights``.
+
+    Each root's ball is grown once, level by level, in breadth-first order:
+    the root is member 0, and each level's new members follow in the order
+    their parents were reached, each parent's in graph order.  A member's
+    edges to earlier members come from its adjacency, in ascending local
+    order.  The subgraph of height ``h`` is then the first members and the
+    first edges of the ball, so every height is cut from one ball.
+
+    ``memo`` maps the subgraph as cut, the text ``"<h>;<tokens>;<edges>"``,
+    to its :data:`Neighborhood`.  Each member's node token, in member
+    order, is followed by ``,``, and so is each edge, written
+    ``<i>-<k>:<order>`` in ascending ``(k, i)`` order.  A node token is an
+    element symbol or residue letter with its hydrogen count and signed
+    charge, so none holds ``,`` or ``;``: the text splits back into one
+    height, one token list and one edge list.  Equal memo keys are thus
+    equal rooted labeled graphs with equal canonical keys, and, since a
+    token fixes its node's mass, equal masses.  Isomorphic subgraphs cut in
+    different orders only miss the memo and are canonicalized again.
+    """
+    tokens = [node_token(atom) for atom in graph.nodes]
+    masses = [atom.mass() for atom in graph.nodes]
+    adjacency = [graph.neighbors(v) for v in range(len(graph))]
+    table: dict[int, list[Neighborhood]] = {h: [] for h in heights}
+    top = heights[-1]
+    for root in range(len(graph)):
+        members = [root]
+        local = {root: 0}
+        edges: list[tuple[int, int, int]] = []
+        token_text = tokens[root] + ","
+        edge_text = ""
+        level = 0  # local index of the last level's first member
+        for h in range(top + 1):
+            if h:
+                start = len(members)
+                for u in members[level:start]:
+                    for v, _order in adjacency[u]:
+                        if v not in local:
+                            local[v] = len(members)
+                            members.append(v)
+                level = start
+                for k in range(start, len(members)):
+                    v = members[k]
+                    token_text += tokens[v] + ","
+                    back = [
+                        (i, order)
+                        for w, order in adjacency[v]
+                        if (i := local.get(w, k)) < k
+                    ]
+                    if len(back) > 1:
+                        back.sort()
+                    for i, order in back:
+                        edges.append((i, k, order))
+                        edge_text += f"{i}-{k}:{order},"
+            cut = table.get(h)
+            if cut is None:
+                continue
+            memo_key = f"{h};{token_text};{edge_text}"
+            entry = memo.get(memo_key)
+            if entry is None:
+                key = signatures.canonical_key(
+                    [tokens[v] for v in members], edges, 0
+                )
+                mass = subgraph_mass([masses[v] for v in members])
+                entry = memo[memo_key] = (f"{h}|{key}", key, mass)
+            cut.append(entry)
+    return table
 
 
-def height_features(graph: MolecularGraph, heights: Iterable[int]) -> FeatureVector:
+def height_features(
+    graph: MolecularGraph,
+    heights: Iterable[int],
+    *,
+    memo: dict[str, Neighborhood] | None = None,
+) -> FeatureVector:
     """Counts of canonical neighborhood signatures at each height.
 
     At every height the counts over all signatures sum to the node count:
-    each node roots exactly one neighborhood.
+    each node roots exactly one neighborhood.  ``memo`` holds the
+    neighborhoods canonicalized so far (see :func:`_signature_table`); pass
+    one dict to every molecule of a run to canonicalize each distinct
+    subgraph once.  Without it each call uses a fresh dict, so no key
+    outlives the call.
     """
     hs = sorted(set(int(h) for h in heights))
     if not hs or hs[0] < 0:
         raise ValueError("heights must be a nonempty set of nonnegative integers")
     vector = FeatureVector()
-    for h, sigs in _signature_table(graph, hs).items():
-        for sig in sigs:
-            vector.add(f"{h}|{sig.key}", sig.mass)
+    for entries in _signature_table(graph, hs, {} if memo is None else memo).values():
+        for feature_key, _key, mass in entries:
+            vector.add(feature_key, mass)
     return vector
 
 
@@ -100,6 +178,8 @@ def pair_features(
     graph: MolecularGraph,
     heights: Iterable[int],
     distances: Iterable[int],
+    *,
+    memo: dict[str, Neighborhood] | None = None,
 ) -> FeatureVector:
     """Counts of signature pairs whose roots are a set distance apart.
 
@@ -108,7 +188,8 @@ def pair_features(
     positive distances each unordered node pair at that shortest-path
     distance contributes one count; the two signature keys are ordered
     lexicographically inside the feature key, and the key's mass is the sum
-    of the two subgraph masses.
+    of the two subgraph masses.  ``memo`` is shared as in
+    :func:`height_features`.
     """
     hs = sorted(set(int(h) for h in heights))
     ds = sorted(set(int(d) for d in distances))
@@ -117,7 +198,7 @@ def pair_features(
     if not ds or ds[0] < 0:
         raise ValueError("distances must be a nonempty set of nonnegative integers")
     vector = FeatureVector()
-    table = _signature_table(graph, hs)
+    table = _signature_table(graph, hs, {} if memo is None else memo)
     # node pairs (a < b, in row-major order) grouped by their distance
     pairs_at: dict[int, list[tuple[int, int]]] = {d: [] for d in ds if d > 0}
     for a, row in enumerate(graph.distances().tolist()):
@@ -127,17 +208,18 @@ def pair_features(
                 pairs.append((a, b))
     for d in ds:
         if d == 0:
-            for h, sigs in table.items():
-                for sig in sigs:
-                    vector.add(f"{h}|{sig.key}", sig.mass)
+            for entries in table.values():
+                for feature_key, _key, mass in entries:
+                    vector.add(feature_key, mass)
             continue
         pairs = pairs_at[d]
         for h in hs:
-            sigs = table[h]
+            entries = table[h]
             for a, b in pairs:
-                ka, kb = sorted((sigs[a].key, sigs[b].key))
-                mass = sigs[a].mass + sigs[b].mass
-                vector.add(f"{h}|{d}|{ka}|{kb}", mass)
+                _, key_a, mass_a = entries[a]
+                _, key_b, mass_b = entries[b]
+                ka, kb = sorted((key_a, key_b))
+                vector.add(f"{h}|{d}|{ka}|{kb}", mass_a + mass_b)
     return vector
 
 
@@ -166,11 +248,6 @@ class FeatureVocabulary:
 
     def index(self, key: str) -> int | None:
         return self._index.get(key)
-
-    def blocks(self) -> dict[tuple[str, int, int], np.ndarray]:
-        """Column indices grouped by (namespace, height, distance)."""
-        labels, ids = self._block_table()
-        return {b: np.flatnonzero(ids == i) for i, b in enumerate(labels)}
 
     def block_ids(self) -> np.ndarray:
         """Block number of every column (read-only).

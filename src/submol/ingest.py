@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, TextIO
 from urllib.parse import quote, unquote
 
-from .features import FeatureVector, height_features, pair_features, prefix_features
+from .features import (
+    FeatureVector,
+    Neighborhood,
+    height_features,
+    pair_features,
+    prefix_features,
+)
 from .graph import MolecularGraph, parse_sdf, parse_smiles, protein_to_chain_graph
 
 KIND_SMALL_MOLECULE = "small-molecule"
@@ -307,17 +313,20 @@ def featurize_pair(
     pair: InteractionPair,
     heights: Iterable[int],
     distances: Iterable[int] | None = None,
+    *,
+    memo: dict[str, Neighborhood] | None = None,
 ) -> FeatureVector:
     """Concatenated features of both entities under disjoint namespaces.
 
     Entity a's features are prefixed ``drug:``, entity b's ``target:``, so
-    the two blocks can never collide in a shared vocabulary.
+    the two blocks can never collide in a shared vocabulary.  ``memo`` is
+    passed on to :func:`height_features` or :func:`pair_features`.
     """
 
     def featurize(graph: MolecularGraph) -> FeatureVector:
         if distances is None:
-            return height_features(graph, heights)
-        return pair_features(graph, heights, distances)
+            return height_features(graph, heights, memo=memo)
+        return pair_features(graph, heights, distances, memo=memo)
 
     left = prefix_features(featurize(pair.graph_a), "drug")
     right = prefix_features(featurize(pair.graph_b), "target")
@@ -334,8 +343,13 @@ def featurize_pairs(
     heights: Iterable[int],
     distances: Iterable[int] | None = None,
 ) -> tuple[list[FeatureVector], list[int], list[str]]:
-    """Feature vectors, labels and ids for every pair in the dataset."""
-    vectors = [featurize_pair(p, heights, distances) for p in dataset.pairs]
+    """Feature vectors, labels and ids for every pair in the dataset.
+
+    One memo serves every entity of the dataset, so each distinct
+    neighborhood is canonicalized once; it is dropped on return.
+    """
+    memo: dict[str, Neighborhood] = {}
+    vectors = [featurize_pair(p, heights, distances, memo=memo) for p in dataset.pairs]
     labels = [p.label for p in dataset.pairs]
     ids = [f"{p.id_a}~{p.id_b}" for p in dataset.pairs]
     return vectors, labels, ids

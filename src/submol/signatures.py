@@ -260,7 +260,13 @@ def canonical_signature(sub: RootedSubgraph) -> Signature:
     """Signature (canonical key, height, mass) of a rooted subgraph."""
     labels = [node_token(a) for a in sub.nodes]
     key = canonical_key(labels, sub.edges, sub.root)
-    # summing in sorted order makes the float total a function of the node
-    # multiset alone, so equal keys always carry bit-equal masses
-    mass = sum(sorted(a.mass() for a in sub.nodes))
-    return Signature(key, sub.height, mass)
+    return Signature(key, sub.height, subgraph_mass([a.mass() for a in sub.nodes]))
+
+
+def subgraph_mass(masses: list[float]) -> float:
+    """Mass of a subgraph from the masses of its nodes.
+
+    Summing in sorted order makes the float total a function of the node
+    multiset alone, so equal keys always carry bit-equal masses.
+    """
+    return sum(sorted(masses))

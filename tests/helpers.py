@@ -281,3 +281,18 @@ def reference_save_gram(stream, gram) -> None:
     line = " ".join(["%.17g"] * n) + "\n"
     for row in gram.values:
         stream.write(line % tuple(row.tolist()))
+
+
+def molblock(symbols, bonds, charges=None):
+    """A V2000 record; ``bonds`` are 1-based ``(a, b, type)`` triples."""
+    charges = charges or {}
+    lines = ["ring", "  submoltest", ""]
+    lines.append(f"{len(symbols):3d}{len(bonds):3d}  0  0  0  0  0  0  0  0999 V2000")
+    for symbol in symbols:
+        lines.append(f"    0.0000    0.0000    0.0000 {symbol:<3} 0  0  0  0")
+    for a, b, kind in bonds:
+        lines.append(f"{a:3d}{b:3d}{kind:3d}  0")
+    for atom, charge in charges.items():
+        lines.append(f"M  CHG  1 {atom:3d} {charge:3d}")
+    lines += ["M  END", "$$$$", ""]
+    return "\n".join(lines)

@@ -247,6 +247,7 @@ def _signature_hashes(n, pairs, masks):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_05_canonicalization_oracle(capsys):
     with criterion(capsys, 5, "canonical keys vs exhaustive search") as info:
         all_oracle = []

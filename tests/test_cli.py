@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from submol import kernels, protocol
+from submol import cli, kernels, protocol, signatures
 from submol.cli import main, parse_range_set
 from submol.errors import ConfigError
 from submol.features import build_matrix, height_features, save_sparse, save_vocab
@@ -132,6 +132,44 @@ def test_featurize_sdf_with_labels(tmp_path, capsys):
     assert "skipped: 2" in captured.out
     lines = open(features, encoding="utf-8").read().splitlines()
     assert [line.split()[0] for line in lines] == ["+1", "-1", "+1", "-1"]
+
+
+def test_featurize_canonicalizes_each_distinct_neighborhood_once(tmp_path, monkeypatch):
+    calls = []
+    canonical_key = signatures.canonical_key
+    monkeypatch.setattr(
+        signatures, "canonical_key", lambda *args: calls.append(args) or canonical_key(*args)
+    )
+    memos, roots = [], []
+    featurize = cli.height_features
+
+    def keep_memo(graph, heights, *, memo=None):
+        memos.append(memo)
+        roots.append(len(graph) * len(heights))
+        return featurize(graph, heights, memo=memo)
+
+    monkeypatch.setattr(cli, "height_features", keep_memo)
+    argv = [
+        "featurize", "--input", os.path.join(DATA, "bursi_mini.sdf"),
+        "--format", "sdf", "--label-key", "Ames", "--positive-value", "mutagen",
+        "--heights", "0-2", "--out-features", str(tmp_path / "f.txt"),
+        "--out-vocab", str(tmp_path / "v.txt"),
+    ]
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        memos.clear()
+        roots.clear()
+        assert main(argv) == 0
+        memo = memos[0]
+        # one dict for every molecule of the command, one call per key in it
+        assert memo is not None and all(m is memo for m in memos)
+        assert len(calls) == len(memo)
+        runs.append(memo)
+    assert runs[0] is not runs[1]
+    assert runs[0].keys() == runs[1].keys()
+    # neighborhoods recur: fewer calls than (root, height) pairs
+    assert len(calls) < sum(roots)
 
 
 def test_featurize_pairs(tmp_path, capsys):

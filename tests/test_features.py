@@ -6,12 +6,19 @@ conservation test checks the defining identity of neighborhood counting
 """
 
 import io
+import itertools
 import random
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import random_molecule_smiles, reference_load_sparse, reference_save_sparse
+from helpers import (
+    molblock,
+    random_labeled_graph,
+    random_molecule_smiles,
+    reference_load_sparse,
+    reference_save_sparse,
+)
 
 from submol import features
 from submol.features import (
@@ -28,7 +35,13 @@ from submol.features import (
     save_sparse,
     save_vocab,
 )
-from submol.graph import parse_smiles
+from submol.graph import parse_sdf, parse_smiles
+from submol.signatures import (
+    MAX_SUBGRAPH_NODES,
+    SubgraphTooLargeError,
+    canonical_signature,
+    neighborhood_subgraph,
+)
 
 
 # --- height features --------------------------------------------------------
@@ -133,6 +146,101 @@ def test_pair_features_validation():
         pair_features(graph, [], [0])
 
 
+# --- the neighborhood memo --------------------------------------------------
+
+
+def reference_features(graph, heights, distances):
+    """Height (``distances`` None) or pair features, one signature per
+    (root, height) from its own neighborhood subgraph, with no memo."""
+    table = {
+        h: [
+            canonical_signature(neighborhood_subgraph(graph, a, h))
+            for a in range(len(graph))
+        ]
+        for h in heights
+    }
+    vector = FeatureVector()
+    dist = graph.distances()
+    for d in distances or [0]:
+        for h, sigs in table.items():
+            if d == 0:
+                for sig in sigs:
+                    vector.add(f"{h}|{sig.key}", sig.mass)
+                continue
+            for a, b in itertools.combinations(range(len(graph)), 2):
+                if dist[a, b] == d:
+                    ka, kb = sorted((sigs[a].key, sigs[b].key))
+                    vector.add(f"{h}|{d}|{ka}|{kb}", sigs[a].mass + sigs[b].mass)
+    return vector
+
+
+_RINGS = ("c1ccccc1", "c1ccncc1", "c1cc[nH]c1", "c1ccoc1", "c1ccsc1")
+_LINKERS = ("C", "N", "O", "C(=O)", "[NH2+]", "c1ccc(cc1)", "C(C)(C)", "S(=O)(=O)")
+_ENDS = ("[O-]", "Cl", "[N+](=O)[O-]", "C(=O)[O-]", "[NH3+]", "C#N", "c1ccncc1")
+
+
+def random_charged_aromatic_smiles(rnd):
+    """A ring, up to three linkers and an end group, most of them charged,
+    aromatic or carrying hydrogens."""
+    linkers = "".join(rnd.choice(_LINKERS) for _ in range(rnd.randint(0, 3)))
+    return rnd.choice(_RINGS) + linkers + rnd.choice(_ENDS)
+
+
+def memo_test_graphs():
+    rnd = random.Random(31)  # the graphs of test_neighborhood_matches_distance_table
+    graphs = [random_labeled_graph(rnd, max_nodes=9) for _ in range(25)]
+    rnd = random.Random(77)
+    smiles = [random_charged_aromatic_smiles(rnd) for _ in range(20)]
+    smiles += [random_molecule_smiles(rnd, max_atoms=9) for _ in range(10)]
+    parsed = [parse_smiles(s) for s in smiles]
+    sdf = "".join(
+        molblock(
+            [a.label for a in g.nodes],
+            [(i + 1, j + 1, o) for i, j, o in g.edges],
+            {k + 1: a.charge for k, a in enumerate(g.nodes) if a.charge},
+        )
+        for g in parsed[:20]
+    )
+    records, skipped = parse_sdf(sdf)
+    assert not skipped
+    return graphs + parsed + [g for g, _ in records]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-memo", "memo-per-graph"])
+def test_memo_matches_one_signature_per_root_and_height(shared):
+    graphs = memo_test_graphs()
+    assert any(a.aromatic for g in graphs for a in g.nodes)
+    assert any(a.charge for g in graphs for a in g.nodes)
+    assert any(a.hydrogens for g in graphs for a in g.nodes)
+    heights, distances = [0, 1, 2, 3], [0, 1, 2, 3]
+    memo = {}
+    for graph in graphs:
+        if not shared:
+            memo = {}
+        for got, expected in (
+            (
+                height_features(graph, heights, memo=memo),
+                reference_features(graph, heights, None),
+            ),
+            (
+                pair_features(graph, heights, distances, memo=memo),
+                reference_features(graph, heights, distances),
+            ),
+        ):
+            assert got.entries == expected.entries
+            assert {k: m.hex() for k, m in got.masses.items()} == {
+                k: m.hex() for k, m in expected.masses.items()
+            }
+    assert memo
+
+
+def test_memo_keeps_the_subgraph_size_cap():
+    chain = parse_smiles("C" * (MAX_SUBGRAPH_NODES + 6))
+    height_features(chain, [MAX_SUBGRAPH_NODES // 2 - 1])
+    with pytest.raises(SubgraphTooLargeError):
+        height_features(chain, [0, MAX_SUBGRAPH_NODES], memo={})
+
+
 # --- key helpers ------------------------------------------------------------
 
 
@@ -202,13 +310,14 @@ def test_vocab_index_lookup():
 
 
 def test_vocab_blocks_group_namespace_height_distance():
-    keys = ("drug:0|x", "drug:1|2|x|y", "target:0|x")
-    vocab = FeatureVocabulary(keys, (1.0, 2.0, 3.0))
-    blocks = vocab.blocks()
-    assert set(blocks) == {("drug", 0, 0), ("drug", 1, 2), ("target", 0, 0)}
-    assert blocks[("drug", 0, 0)].tolist() == [0]
-    assert blocks[("drug", 1, 2)].tolist() == [1]
-    assert blocks[("target", 0, 0)].tolist() == [2]
+    # blocks are numbered in sorted (namespace, height, distance) order,
+    # whatever the column order
+    keys = ("target:0|x", "drug:1|2|x|y", "drug:0|x", "drug:0|y", "drug:1|2|y|y")
+    vocab = FeatureVocabulary(keys, (1.0, 2.0, 3.0, 4.0, 5.0))
+    assert vocab.block_ids().tolist() == [2, 1, 0, 0, 1]
+    for a, b in itertools.combinations(range(len(keys)), 2):
+        same = parse_feature_key(keys[a]) == parse_feature_key(keys[b])
+        assert same == (vocab.block_ids()[a] == vocab.block_ids()[b])
 
 
 # --- matrices ---------------------------------------------------------------

@@ -40,6 +40,12 @@ def matrix_from(rows, labels, vocab=None):
     return DatasetMatrix(X, np.asarray(labels), ids, vocab)
 
 
+def block_columns(vocab):
+    """Column indices of each block, in block-number order."""
+    ids = vocab.block_ids()
+    return [np.flatnonzero(ids == b) for b in range(ids.max() + 1)]
+
+
 # --- cosine ----------------------------------------------------------------
 
 
@@ -156,7 +162,7 @@ def test_nspdk_gram_on_real_features():
     assert np.allclose(gram.values, gram.values.T, atol=1e-15)
     assert np.allclose(np.diag(gram.values), 1.0, atol=1e-12)
     # off-diagonal entries are strict means of per-block cosines
-    blocks = [cols for _, cols in sorted(data.vocab.blocks().items())]
+    blocks = block_columns(data.vocab)
     dense = data.dense()
     expected = nspdk_kernel(dense[0], dense[1], blocks)
     assert gram.values[0, 1] == pytest.approx(expected, abs=1e-12)
@@ -248,7 +254,7 @@ def test_kernels_do_not_densify(monkeypatch):
     ]
     data = build_matrix(vectors, [1, 1, 1, -1, -1, -1])
     dense = data.X.toarray()
-    blocks = [cols for _, cols in sorted(data.vocab.blocks().items())]
+    blocks = block_columns(data.vocab)
     rows = kernel_feature_rows(data, data, "cosine")
     inner = train_forest(
         DatasetMatrix(rows, data.y, data.ids, None), ForestConfig(trees=4), seed=2

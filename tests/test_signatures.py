@@ -15,6 +15,7 @@ from helpers import permuted_graph, random_labeled_graph, root_preserving_isomor
 
 from submol import graph as graph_module
 from submol import signatures
+from submol.elements import ATOMIC_MASSES, RESIDUE_MASSES
 from submol.features import height_features
 from submol.graph import AtomNode, MolecularGraph, all_pairs_distances, parse_smiles
 from submol.signatures import (
@@ -57,6 +58,24 @@ def test_node_token(atom, expected):
 def test_residue_token_never_collides_with_element():
     # serine residue vs sulfur atom
     assert node_token(AtomNode("S", residue=True)) != node_token(AtomNode("S"))
+
+
+def test_node_token_determines_mass():
+    # neighborhoods are memoized on their node tokens and keep the stored
+    # mass, so two nodes with one token must weigh exactly the same
+    variants = [
+        dict(aromatic=aromatic, hydrogens=hydrogens, charge=charge)
+        for aromatic in (False, True)
+        for hydrogens in range(5)
+        for charge in range(-2, 3)
+    ]
+    nodes = [AtomNode(label, **v) for label in ATOMIC_MASSES for v in variants]
+    nodes += [AtomNode(label, residue=True, **v) for label in RESIDUE_MASSES for v in variants]
+    masses: dict[str, set[str]] = {}
+    for node in nodes:
+        masses.setdefault(node_token(node), set()).add(node.mass().hex())
+    assert all(len(bits) == 1 for bits in masses.values())
+    assert len(masses) == len(ATOMIC_MASSES) * len(variants) + len(RESIDUE_MASSES)
 
 
 # --- exact keys derived by hand --------------------------------------------
