@@ -216,13 +216,16 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
                 dest = action.dest
                 if dest not in cleaned:
                     continue
-                if action.type is not None and isinstance(cleaned[dest], str):
-                    try:
-                        cleaned[dest] = action.type(cleaned[dest])
-                    except ValueError:
-                        raise ConfigError(
-                            f"bad value {cleaned[dest]!r} for config key {dest!r}"
-                        ) from None
+                # A value must be one the flag accepts: a switch takes true
+                # or false, a typed option reads the value as its flag's text.
+                value = cleaned[dest]
+                try:
+                    if action.nargs == 0 and not isinstance(value, bool):
+                        raise ValueError
+                    if action.type is not None:
+                        cleaned[dest] = action.type(str(value))
+                except ValueError:
+                    raise ConfigError(f"bad value {value!r} for config key {dest!r}") from None
                 # argparse checks choices only for values given on the command line
                 if action.choices is not None and cleaned[dest] not in action.choices:
                     raise ConfigError(

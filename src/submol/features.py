@@ -64,14 +64,6 @@ def parse_feature_key(key: str) -> tuple[str, int, int]:
 _BLOCK_PREFIX = re.compile(r"[^|]*(?:\|(?:[^|]*\|)?)?")
 
 
-def prefix_features(vector: FeatureVector, namespace: str) -> FeatureVector:
-    """Copy of ``vector`` with every key under ``namespace:``."""
-    out = FeatureVector()
-    for key, count in vector.entries.items():
-        out.add(f"{namespace}:{key}", vector.masses[key], count)
-    return out
-
-
 #: One neighborhood as featurization counts it: its ``"<h>|<key>"`` feature
 #: key, its canonical key and its mass.
 Neighborhood = tuple[str, str, float]
@@ -346,16 +338,16 @@ class DatasetMatrix:
         )
 
 
-def scoring_rows(X, n_features: int | None) -> np.ndarray:
+def scoring_rows(X, n_features: int) -> np.ndarray:
     """Rows handed to a model's ``score_rows`` as a dense 2-D float array.
 
     Accepts a sparse matrix, a dense matrix or one row.  Raises
-    ``ValueError`` when ``n_features`` is given and the width differs.
+    ``ValueError`` when the width is not ``n_features``.
     """
     X = np.asarray(X.toarray() if sp.issparse(X) else X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if n_features is not None and X.shape[1] != n_features:
+    if X.shape[1] != n_features:
         raise ValueError(
             f"rows have {X.shape[1]} features, the model expects {n_features}"
         )

@@ -320,15 +320,18 @@ def _grow_tree(
 
 
 def _check_tree(t: int, tree: Any, n_features: int) -> None:
-    """Raise ValueError unless tree ``t`` has the schema :func:`_grow_tree`
+    """Raise ValueError unless tree ``t`` has the schema :func:`_build_tree`
     writes.
 
-    A leaf holds only a number ``prob``.  An internal node holds only an
-    integer ``feature`` in ``[0, n_features)``, a number ``threshold``, and
-    ``left`` and ``right`` children numbered after it and inside the tree,
-    so every walk from the root ends at a leaf.
+    A tree holds only its ``nodes``.  A leaf holds only a number ``prob``.
+    An internal node holds only an integer ``feature`` in
+    ``[0, n_features)``, a number ``threshold``, and ``left`` and ``right``
+    children numbered after it and inside the tree, so every walk from the
+    root ends at a leaf.
     """
-    nodes = tree.get("nodes") if isinstance(tree, dict) else None
+    if not isinstance(tree, dict) or tree.keys() != {"nodes"}:
+        raise ValueError(f"tree {t} must be an object whose one key is nodes")
+    nodes = tree["nodes"]
     if not isinstance(nodes, list) or not nodes:
         raise ValueError(f"tree {t} has no node list")
     numbers = (int, float)  # a type test, so True and False are not numbers
@@ -381,11 +384,9 @@ def _build_tree(
     X: sp.csr_matrix, cols: _Columns, y: np.ndarray, rng: np.random.Generator,
     cfg: ForestConfig,
 ) -> dict[str, Any]:
-    bootstrap = rng.integers(0, len(y), size=len(y))
-    copies = np.bincount(bootstrap, minlength=len(y))
+    copies = np.bincount(rng.integers(0, len(y), size=len(y)), minlength=len(y))
     in_node = np.zeros(len(y), dtype=bool)
-    nodes = _grow_tree(_Bootstrap(X, cols, y, copies, in_node), rng, cfg)
-    return {"nodes": nodes, "bootstrap": bootstrap.tolist()}
+    return {"nodes": _grow_tree(_Bootstrap(X, cols, y, copies, in_node), rng, cfg)}
 
 
 def train_forest(

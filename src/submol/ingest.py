@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, TextIO
 from urllib.parse import quote, unquote
 
-from .features import (
-    FeatureVector,
-    Neighborhood,
-    height_features,
-    pair_features,
-    prefix_features,
-)
+from .features import FeatureVector, Neighborhood, height_features, pair_features
 from .graph import MolecularGraph, parse_sdf, parse_smiles, protein_to_chain_graph
 
 KIND_SMALL_MOLECULE = "small-molecule"
@@ -322,19 +316,16 @@ def featurize_pair(
     the two blocks can never collide in a shared vocabulary.  ``memo`` is
     passed on to :func:`height_features` or :func:`pair_features`.
     """
-
-    def featurize(graph: MolecularGraph) -> FeatureVector:
+    merged = FeatureVector()
+    for namespace, graph in (("drug", pair.graph_a), ("target", pair.graph_b)):
         if distances is None:
-            return height_features(graph, heights, memo=memo)
-        return pair_features(graph, heights, distances, memo=memo)
-
-    left = prefix_features(featurize(pair.graph_a), "drug")
-    right = prefix_features(featurize(pair.graph_b), "target")
-    overlap = set(left.entries) & set(right.entries)
-    assert not overlap, f"namespaced feature keys collided: {sorted(overlap)[:3]}"
-    merged = FeatureVector(dict(left.entries), dict(left.masses))
-    for key, count in right.entries.items():
-        merged.add(key, right.masses[key], count)
+            vector = height_features(graph, heights, memo=memo)
+        else:
+            vector = pair_features(graph, heights, distances, memo=memo)
+        for key, count in vector.entries.items():
+            name = f"{namespace}:{key}"
+            merged.entries[name] = count
+            merged.masses[name] = vector.masses[key]
     return merged
 
 

@@ -5,8 +5,9 @@ normalizes within each (namespace, height, distance) feature block
 separately and averages the per-block cosines, so abundant blocks cannot
 drown out sparse ones.  Empty rows (or empty blocks) contribute zero
 similarity.  Kernel rows are one sparse product of block-normalized CSR
-rows (Costa & De Grave, ICML 2010); :func:`cosine_kernel` and
-:func:`nspdk_kernel` are the row-by-row reference definitions.
+rows (Costa & De Grave, ICML 2010).  The row-by-row reference definitions,
+``cosine_kernel`` and ``nspdk_kernel``, are the test suite's oracles and
+live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -27,42 +28,6 @@ class ZeroRowWarning(UserWarning):
 
 class KernelError(ValueError):
     """Raised when a kernel cannot be applied to the given rows."""
-
-
-def _as_dense_rows(x) -> np.ndarray:
-    if sp.issparse(x):
-        x = x.toarray()
-    x = np.asarray(x, dtype=float)
-    return x.reshape(-1) if x.ndim > 1 else x
-
-
-def cosine_kernel(x, y) -> float:
-    """Cosine similarity of two feature rows; zero rows give 0.0."""
-    xv, yv = _as_dense_rows(x), _as_dense_rows(y)
-    nx, ny = np.linalg.norm(xv), np.linalg.norm(yv)
-    if nx == 0.0 or ny == 0.0:
-        warnings.warn("zero feature row in cosine kernel", ZeroRowWarning, stacklevel=2)
-        return 0.0
-    return float(xv @ yv / (nx * ny))
-
-
-def nspdk_kernel(x, y, blocks: Sequence[np.ndarray]) -> float:
-    """Mean of per-block cosine similarities between two rows.
-
-    ``blocks`` lists the column indices of each (height, distance) block.
-    Blocks where either row is all zero contribute 0.  Raises
-    :class:`KernelError` when no block metadata is given.
-    """
-    if not len(blocks):
-        raise KernelError("rows lack block metadata; a block list is required")
-    xv, yv = _as_dense_rows(x), _as_dense_rows(y)
-    total = 0.0
-    for cols in blocks:
-        xb, yb = xv[cols], yv[cols]
-        nx, ny = np.linalg.norm(xb), np.linalg.norm(yb)
-        if nx > 0.0 and ny > 0.0:
-            total += float(xb @ yb / (nx * ny))
-    return total / len(blocks)
 
 
 @dataclass

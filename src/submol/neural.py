@@ -36,8 +36,8 @@ class NetConfig:
     voted: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails this too
+            raise ConfigError("learning rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -91,12 +91,6 @@ def net_forward(p: NetParams, x: np.ndarray) -> tuple[np.ndarray, float]:
     a1 = _sigmoid(W1 @ x + p.b1)
     out = _sigmoid(float(p.W2 @ a1) + p.b2)
     return a1, float(out)
-
-
-def net_loss(p: NetParams, x: np.ndarray, target: float) -> float:
-    """Squared error of one sample: (out - target)^2 / 2."""
-    _, out = net_forward(p, x)
-    return 0.5 * (out - target) ** 2
 
 
 def net_gradients(

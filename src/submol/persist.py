@@ -28,7 +28,7 @@ from .neural import NetModel
 from .svm import SvmModel
 
 FORMAT = "submol-model"
-VERSION = 1
+VERSION = 2
 
 _MODELS = {"forest": ForestModel, "net": NetModel, "svm": SvmModel}
 

@@ -12,6 +12,7 @@ asymmetrically.  Scores are signed distances to the separating hyperplane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ _BOUND_EPS = 1e-8
 
 @dataclass(frozen=True)
 class SvmConfig:
-    kernel: str = "linear"  # linear | rbf | precomputed
+    kernel: str = "linear"  # linear | rbf
     C: float = 1.0
     pos_cost_factor: float = 1.0  # j: positives are boxed at j*C
     gamma: float = 1.0
@@ -35,26 +36,23 @@ class SvmConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if self.kernel not in ("linear", "rbf", "precomputed"):
+        if self.kernel not in ("linear", "rbf"):
             raise ConfigError(f"unknown SVM kernel {self.kernel!r}")
-        if self.C <= 0 or self.pos_cost_factor <= 0:
-            raise ConfigError("cost parameters must be positive")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        # Written so that NaN fails each test too.
+        if not (0 < self.C < math.inf and 0 < self.pos_cost_factor < math.inf):
+            raise ConfigError("cost parameters must be positive and finite")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError("gamma must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tolerance must be positive and finite")
 
 
 def _kernel_matrix(X: np.ndarray, cfg: SvmConfig) -> np.ndarray:
     if cfg.kernel == "linear":
         return X @ X.T
-    if cfg.kernel == "rbf":
-        sq = (X * X).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-        return np.exp(-cfg.gamma * np.maximum(d2, 0.0))
-    if X.shape[0] != X.shape[1]:
-        raise ConfigError("a precomputed kernel needs a square matrix")
-    return np.asarray(X, dtype=float)
+    sq = (X * X).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    return np.exp(-cfg.gamma * np.maximum(d2, 0.0))
 
 
 @dataclass
@@ -64,9 +62,8 @@ class SvmModel:
     n_features: int
     alphas: NDArray[np.float64]
     bias: float
-    sv_rows: NDArray[np.float64]  # training rows (or empty for precomputed kernels)
+    sv_rows: NDArray[np.float64]
     sv_labels: NDArray[np.float64]
-    sv_indices: NDArray[np.intp]
     norm_w: float
     threshold: float = 0.0
 
@@ -76,17 +73,13 @@ class SvmModel:
         if cfg.kernel == "linear":
             w = coef @ self.sv_rows
             return X @ w + self.bias
-        if cfg.kernel == "rbf":
-            sq_x = (X * X).sum(axis=1)
-            sq_s = (self.sv_rows * self.sv_rows).sum(axis=1)
-            d2 = sq_x[:, None] + sq_s[None, :] - 2.0 * (X @ self.sv_rows.T)
-            return np.exp(-cfg.gamma * np.maximum(d2, 0.0)) @ coef + self.bias
-        # precomputed: rows are similarity columns against the training set
-        return X[:, self.sv_indices] @ coef + self.bias
+        sq_x = (X * X).sum(axis=1)
+        sq_s = (self.sv_rows * self.sv_rows).sum(axis=1)
+        d2 = sq_x[:, None] + sq_s[None, :] - 2.0 * (X @ self.sv_rows.T)
+        return np.exp(-cfg.gamma * np.maximum(d2, 0.0)) @ coef + self.bias
 
     def score_rows(self, X) -> np.ndarray:
-        precomputed = self.config.kernel == "precomputed"
-        X = scoring_rows(X, None if precomputed else self.n_features)
+        X = scoring_rows(X, self.n_features)
         raw = self._raw_scores(X)
         return raw / self.norm_w if self.norm_w > 0 else raw
 
@@ -168,9 +161,8 @@ def train_svm(data: DatasetMatrix, cfg: SvmConfig, seed: int = 0) -> SvmModel:
         n_features=X.shape[1],
         alphas=alphas[support].copy(),
         bias=bias,
-        sv_rows=(X[support].copy() if cfg.kernel != "precomputed" else np.empty((0, 0))),
+        sv_rows=X[support].copy(),
         sv_labels=y[support].copy(),
-        sv_indices=support.copy(),
         norm_w=float(np.sqrt(max(norm_w_sq, 0.0))),
     )
     return model

@@ -4,18 +4,25 @@ Everything here is deliberately independent of the library's own algorithms:
 molecule strings are emitted from a simple valence-tracking grammar, graph
 isomorphism is decided by exhaustive permutation, and ranking metrics are
 recomputed by explicit pair counting, so library results can be checked
-against a second route.
+against a second route.  The row-by-row kernel definitions
+(:func:`cosine_kernel`, :func:`nspdk_kernel`) and the one-sample net loss
+(:func:`net_loss`) are the oracles of the sparse kernels and of the net
+gradients.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import warnings
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from submol.graph import AtomNode, MolecularGraph
+from submol.kernels import KernelError, ZeroRowWarning
+from submol.neural import NetParams, net_forward
 
 #: Bonding capacity used by the molecule generator.
 BUDGETS = {"C": 4, "N": 3, "O": 2, "P": 3, "S": 2, "F": 1, "Cl": 1, "Br": 1}
@@ -296,3 +303,52 @@ def molblock(symbols, bonds, charges=None):
         lines.append(f"M  CHG  1 {atom:3d} {charge:3d}")
     lines += ["M  END", "$$$$", ""]
     return "\n".join(lines)
+
+
+# --- Reference kernels and net loss -----------------------------------------
+#
+# Row-by-row definitions of what ``submol.kernels.kernel_feature_rows``
+# computes in one sparse product, and the squared error whose gradients
+# ``submol.neural.net_gradients`` returns.
+
+
+def _as_dense_rows(x) -> np.ndarray:
+    if sp.issparse(x):
+        x = x.toarray()
+    x = np.asarray(x, dtype=float)
+    return x.reshape(-1) if x.ndim > 1 else x
+
+
+def cosine_kernel(x, y) -> float:
+    """Cosine similarity of two feature rows; zero rows give 0.0."""
+    xv, yv = _as_dense_rows(x), _as_dense_rows(y)
+    nx, ny = np.linalg.norm(xv), np.linalg.norm(yv)
+    if nx == 0.0 or ny == 0.0:
+        warnings.warn("zero feature row in cosine kernel", ZeroRowWarning, stacklevel=2)
+        return 0.0
+    return float(xv @ yv / (nx * ny))
+
+
+def nspdk_kernel(x, y, blocks: Sequence[np.ndarray]) -> float:
+    """Mean of per-block cosine similarities between two rows.
+
+    ``blocks`` lists the column indices of each (height, distance) block.
+    Blocks where either row is all zero contribute 0.  Raises
+    :class:`KernelError` when no block metadata is given.
+    """
+    if not len(blocks):
+        raise KernelError("rows lack block metadata; a block list is required")
+    xv, yv = _as_dense_rows(x), _as_dense_rows(y)
+    total = 0.0
+    for cols in blocks:
+        xb, yb = xv[cols], yv[cols]
+        nx, ny = np.linalg.norm(xb), np.linalg.norm(yb)
+        if nx > 0.0 and ny > 0.0:
+            total += float(xb @ yb / (nx * ny))
+    return total / len(blocks)
+
+
+def net_loss(p: NetParams, x: np.ndarray, target: float) -> float:
+    """Squared error of one sample: (out - target)^2 / 2."""
+    _, out = net_forward(p, x)
+    return 0.5 * (out - target) ** 2

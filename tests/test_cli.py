@@ -288,7 +288,7 @@ PINNED_ARTIFACTS = {
             "features": "e56628b4b2afa8b2609c5a8fe02007aaea8334dd9fedb705c0095dd891d8c140",
             "vocab": "69d758b33e013a574a3bdeeb9a9b3089e21f1638cf6948cb5ef92438f0877fd0",
             "gram": "c645556982976295f504f499d5a21ec4b6cea38cecfa4853c688da6c1d8a75f0",
-            "model": "22e3f70feeb4a0e9d89110119a5bb63316ea2df6d911246d371d862430a88416",
+            "model": "b11dec9e74b7a1e801b5ea66bceec1293ed1761677815c4437920bfb63108149",
             "roc": "1d1e32970ebdfb3198eb6876ae2669f80f17c7188824fb1d8f98db87a3a82d45",
         },
     ),
@@ -300,7 +300,7 @@ PINNED_ARTIFACTS = {
             "features": "116c94ea775189cadb59c1c6a029578e3dbbb18e37afdb747d03ff3ef5672324",
             "vocab": "086030234d9efd3b4cfe8647aa99741781b712b07364a5f327360735da750a7e",
             "gram": "09b509040d6c8952db2a64c3c73fa54d4f319ea5165bdb95129f43377db274c7",
-            "model": "a83219dcc4d8365360da4135916a7dc7f2dbadc494c09e91e09705bf38be262f",
+            "model": "b6ec59971f60956e074d637f4aedd044943558b572c543d322b3c95d52154384",
             "roc": "ca1abcab5c50b6d363ef7c456fb1be556470ff1aff69ca3749e44d75d913becb",
         },
     ),
@@ -469,6 +469,51 @@ def test_config_coerces_typed_values(nitro_file, tmp_path):
     assert doc["payload"]["seed"] == 3
 
 
+@pytest.mark.parametrize("key, value, algo", [
+    ("trees", 2.5, "rf"), ("seed", 1.5, "rf"), ("voted", "no", "mlp"),
+], ids=["float-trees", "float-seed", "text-switch"])
+def test_config_value_of_another_type_is_exit_2(nitro_file, tmp_path, capsys,
+                                               key, value, algo):
+    # a config value must be one its flag accepts; a switch takes only true or false
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--config", str(config), "--features", features,
+                 "--vocab", vocab, "--algo", algo, "--epochs", "1",
+                 "--model-out", str(model)]) == 2
+    assert f"bad value {value!r} for config key {key!r}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_config_switch_takes_json_true(nitro_file, tmp_path):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"voted": True, "epochs": 1}), encoding="utf-8")
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--config", str(config), "--features", features,
+                 "--vocab", vocab, "--algo", "mlp", "--model-out", model]) == 0
+    assert json.loads(open(model, encoding="utf-8").read())["payload"]["config"]["voted"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flags", [
+    ["--algo", "svm", "--cost"],
+    ["--algo", "svm", "--pos-cost-factor"],
+    ["--algo", "svm", "--svm-kernel", "rbf", "--gamma"],
+    ["--algo", "mlp", "--learning-rate"],
+], ids=["cost", "pos-cost-factor", "gamma", "learning-rate"])
+def test_non_finite_option_is_exit_2(nitro_file, tmp_path, capsys, flags, value):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    capsys.readouterr()
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", features, "--vocab", vocab, *flags, value,
+                 "--model-out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "positive and finite" in err
+    assert not model.exists()
+
+
 def test_unknown_config_key_is_exit_2(smiles_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
@@ -552,12 +597,20 @@ def _with_config_field(doc):
     return doc
 
 
+def _with_tree_key(doc):
+    doc["payload"]["trees"][0]["bootstrap"] = [0, 1]  # version 1 stored the draw
+    return doc
+
+
 @pytest.mark.parametrize("malform, named", [
     (lambda doc: [1, 2], "not a model file"),
     (lambda doc: {**doc, "payload": {}}, "malformed forest model"),
     (lambda doc: {**doc, "kind": "svm", "payload": {"config": {}}}, "malformed svm model"),
     (_with_config_field, "malformed forest model"),
-], ids=["not-an-object", "empty-payload", "svm-config-only", "unknown-config-field"])
+    (lambda doc: {**doc, "version": 1}, "unsupported model file version 1"),
+    (_with_tree_key, "tree 0 must be an object whose one key is nodes"),
+], ids=["not-an-object", "empty-payload", "svm-config-only", "unknown-config-field",
+        "version-1", "tree-extra-key"])
 def test_malformed_model_is_exit_3(smiles_file, tmp_path, capsys, malform, named):
     model, features, vocab = train_small_forest(smiles_file, str(tmp_path))
     with open(model, encoding="utf-8") as handle:

@@ -31,7 +31,6 @@ from submol.features import (
     load_vocab,
     pair_features,
     parse_feature_key,
-    prefix_features,
     save_sparse,
     save_vocab,
 )
@@ -256,15 +255,6 @@ def test_memo_keeps_the_subgraph_size_cap():
 )
 def test_parse_feature_key(key, expected):
     assert parse_feature_key(key) == expected
-
-
-def test_prefix_features():
-    vec = height_features(parse_smiles("CO"), [0])
-    prefixed = prefix_features(vec, "drug")
-    assert set(prefixed.entries) == {f"drug:{k}" for k in vec.entries}
-    for key, count in vec.entries.items():
-        assert prefixed.entries[f"drug:{key}"] == count
-        assert prefixed.masses[f"drug:{key}"] == vec.masses[key]
 
 
 # --- vocabulary -------------------------------------------------------------

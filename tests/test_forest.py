@@ -122,8 +122,16 @@ def dense_forest_trees(data, cfg, seed):
         rng = np.random.default_rng(s)
         bootstrap = rng.integers(0, len(y), size=len(y))
         nodes = dense_grow_tree(X[bootstrap], y[bootstrap], rng, cfg)
-        trees.append({"nodes": nodes, "bootstrap": bootstrap.tolist()})
+        trees.append({"nodes": nodes})
     return trees
+
+
+def bootstrap_draws(seed, trees, n):
+    """Each tree's bootstrap rows: the first draw of its own rng stream."""
+    return [
+        np.random.default_rng(s).integers(0, n, size=n)
+        for s in np.random.SeedSequence(seed).spawn(trees)
+    ]
 
 
 def _random_case(case):
@@ -285,8 +293,8 @@ def test_tree_scores_route_rows_by_threshold():
 def test_model_averages_trees():
     cfg = ForestConfig(trees=2)
     trees = [
-        {"nodes": [{"prob": 1.0}], "bootstrap": [0]},
-        {"nodes": [{"prob": 0.0}], "bootstrap": [0]},
+        {"nodes": [{"prob": 1.0}]},
+        {"nodes": [{"prob": 0.0}]},
     ]
     model = ForestModel(cfg, 0, 1, trees)
     assert model.score_rows(np.array([[3.0]]))[0] == 0.5
@@ -316,12 +324,22 @@ def _split(**changes):
         "child-outside", "bool-child", "no-right"])
 def test_model_rejects_trees_outside_the_schema(nodes):
     with pytest.raises(ValueError, match="tree 0"):
-        ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": nodes, "bootstrap": []}])
-    ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": _split(), "bootstrap": []}])  # valid
+        ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": nodes}])
+    ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": _split()}])  # valid
+
+
+@pytest.mark.parametrize("tree", [
+    [],
+    {},
+    {"nodes": [{"prob": 1.0}], "bootstrap": [0]},
+], ids=["not-an-object", "no-nodes", "extra-key"])
+def test_model_rejects_trees_with_other_keys(tree):
+    with pytest.raises(ValueError, match="tree 0 must be an object whose one key is nodes"):
+        ForestModel(ForestConfig(trees=1), 0, 2, [tree])
 
 
 def test_score_rows_checks_width():
-    model = ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": [{"prob": 1.0}], "bootstrap": []}])
+    model = ForestModel(ForestConfig(trees=1), 0, 2, [{"nodes": [{"prob": 1.0}]}])
     with pytest.raises(ValueError, match="features"):
         model.score_rows(np.ones((1, 3)))
 
@@ -340,8 +358,7 @@ def test_each_tree_memorizes_its_bootstrap():
     data = matrix_from(X, y)
     model = train_forest(data, ForestConfig(trees=10), seed=7)
     target = (data.y == 1).astype(float)
-    for tree in model.trees:
-        rows = np.asarray(tree["bootstrap"])
+    for tree, rows in zip(model.trees, bootstrap_draws(7, 10, len(y))):
         scores = _tree_scores(tree["nodes"], X[rows])
         assert np.array_equal(scores, target[rows])
 
@@ -383,9 +400,9 @@ def test_sampled_columns_fall_back_to_full_scan():
     X[:, 37] = np.arange(20, dtype=float)
     y = np.array([-1] * 10 + [1] * 10)
     model = train_forest(matrix_from(X, y), ForestConfig(trees=8), seed=11)
-    for tree in model.trees:
+    for tree, rows in zip(model.trees, bootstrap_draws(11, 8, len(y))):
         root = tree["nodes"][0]
-        boot_labels = {y[i] for i in tree["bootstrap"]}
+        boot_labels = set(y[rows].tolist())
         if len(boot_labels) == 1:
             continue  # a one-class bootstrap grows a bare leaf
         assert root["feature"] == 37

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import reference_save_gram
+from helpers import cosine_kernel, nspdk_kernel, reference_save_gram
 
 from submol import kernels
 from submol.features import (
@@ -25,11 +25,9 @@ from submol.kernels import (
     KernelError,
     KernelizedModel,
     ZeroRowWarning,
-    cosine_kernel,
     gram_matrix,
     kernel_feature_rows,
     load_gram,
-    nspdk_kernel,
     save_gram,
 )
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import perceptron_separable
+from helpers import net_loss, perceptron_separable
 
 from submol.errors import ConfigError, TrainingError
 from submol.features import DatasetMatrix, FeatureVocabulary
@@ -22,7 +22,6 @@ from submol.neural import (
     init_params,
     net_forward,
     net_gradients,
-    net_loss,
     partition_bounds,
     partition_mask,
     train_mlp,
@@ -291,6 +290,12 @@ def test_net_config_validation():
         NetConfig(validation_fraction=1.0)
     with pytest.raises(ConfigError, match="epoch"):
         NetConfig(max_epochs=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_net_config_rejects_non_finite_learning_rate(value):
+    with pytest.raises(ConfigError, match="learning rate must be positive and finite"):
+        NetConfig(learning_rate=value)
 
 
 def test_score_rows_checks_width_and_single_scores():

@@ -50,7 +50,7 @@ def test_forest_round_trip():
     restored, text = round_trip(model)
     assert json.loads(text)["kind"] == "forest"
     assert json.loads(text)["format"] == "submol-model"
-    assert json.loads(text)["version"] == 1
+    assert json.loads(text)["version"] == 2
     assert restored.config == model.config
     assert restored.trees == model.trees
     assert np.array_equal(restored.score_rows(data.X), model.score_rows(data.X))
@@ -98,17 +98,6 @@ def test_svm_round_trip():
     assert np.array_equal(restored.score_rows(data.X), model.score_rows(data.X))
 
 
-def test_precomputed_svm_round_trip():
-    data = toy_data()
-    gram_rows = kernel_feature_rows(data, data, "cosine")
-    gram = DatasetMatrix(gram_rows, data.y, data.ids, None)
-    model = train_svm(gram, SvmConfig(kernel="precomputed"))
-    restored, _ = round_trip(model)
-    assert restored.sv_rows.size == 0
-    assert restored.sv_indices.dtype.kind == "i"
-    assert np.array_equal(restored.score_rows(gram.X), model.score_rows(gram.X))
-
-
 def test_kernelized_round_trip():
     data = toy_data()
     gram_rows = kernel_feature_rows(data, data, "cosine")
@@ -136,46 +125,40 @@ PINNED_MODELS = {
         lambda d: train_forest(
             d, ForestConfig(trees=3, criterion="entropy", max_features=2), seed=4
         ),
-        "b14d367af7c09cc533ae3babac4b68682ce1c7d5159d223beb52fc4afc10f764",
+        "f5c887954e9e24371d809fa4745ef171a5e9f91b27ffec25d6441f3991c02ff4",
     ),
     "mlp": (
         lambda d: train_mlp(d, NetConfig(max_epochs=4), seed=0),
-        "10d3fda7b18451b79495ab39c150551bae415689749455046f2decaaf3817503",
+        "b4d39eb2917b6586e117ada054cfefba4dcf5246422819f2dcb5d9c4121a533b",
     ),
     "voted-mlp": (
         lambda d: train_mlp(d, NetConfig(max_epochs=4, voted=True), seed=2),
-        "c23f1e524f07c6a91a2e764c0b2cdd398f3ba0f1ed57de71a314446e827ab158",
+        "eae68dd7caa740247fd092a9f1f4e689ddfa249fbd4734c58f7f482cc988e521",
     ),
     "pnet": (
         lambda d: train_partitioned_net(d, NetConfig(max_epochs=4), seed=1),
-        "a46fb2d55945e16a8247c5d8c38896f43ed9380c54840a7742695ee34447de7c",
+        "7b404ce5da477e0e4f036245ced18bf27a11f68a8cfd476f9ac7595c64ff0a0a",
     ),
     "svm-linear": (
         lambda d: train_svm(d, SvmConfig(pos_cost_factor=2.0)),
-        "0da7ab1a708b98d2b0cd2843ef615cf94daa391592497c1e3f977104e6824658",
+        "b55e92d17a827a64960282f771dd806c5cba174d3e9dda0ca042a4ddf722864a",
     ),
     "svm-rbf": (
         lambda d: train_svm(d, SvmConfig(kernel="rbf", gamma=0.5, pos_cost_factor=0.5)),
-        "1aac59bea73c71898fe883ac5a5eee772ad2b8a5f06c4cb6ca69fcc06b1f9a45",
-    ),
-    "svm-precomputed": (
-        lambda d: train_svm(
-            gram_data(d, "cosine"), SvmConfig(kernel="precomputed", pos_cost_factor=1.5)
-        ),
-        "2c92ac460b817734da02e9801afe6d4fe32fa302dafb5faf969c8966eb866183",
+        "2ddacf3e8710b1b2cf7c543a1ad0e7e9237d4b2f1ff2c0490dfd95e879cffbf9",
     ),
     "kernelized-cosine": (
         lambda d: KernelizedModel(
             "cosine", d, train_forest(gram_data(d, "cosine"), ForestConfig(trees=2), seed=5)
         ),
-        "b10262a2bc3ca4de975d34fa68321f1d69179e262cfa9dbcf1fd33a19ce21190",
+        "edc0310888d07efaabc4ddfab76235d5e5bba86f42d4273843bf440c6d9ac1d1",
     ),
     "kernelized-nspdk": (
         lambda d: KernelizedModel(
             "nspdk", d,
             train_svm(gram_data(d, "nspdk"), SvmConfig(C=10.0, pos_cost_factor=2.0)),
         ),
-        "99e1b76a04a22989e7bbb661ce5a1c394842c424670903eb651a562a4c664864",
+        "28d9770eeb6891b59b93909eec2fa6e14139eeffbbe9626aa6a43991965fad07",
     ),
 }
 
@@ -192,14 +175,18 @@ def test_rejects_non_model_documents():
         model_from_dict({"format": "something-else"})
     with pytest.raises(ValueError, match="version"):
         model_from_dict({"format": "submol-model", "version": 99})
+    version_1 = model_to_dict(train_forest(toy_data(), ForestConfig(trees=1), seed=0))
+    version_1["version"] = 1
+    with pytest.raises(ValueError, match="unsupported model file version 1"):
+        model_from_dict(version_1)
     with pytest.raises(ValueError, match="unknown model kind"):
-        model_from_dict({"format": "submol-model", "version": 1, "kind": "tree"})
+        model_from_dict({"format": "submol-model", "version": 2, "kind": "tree"})
     with pytest.raises(ValueError, match="unknown model kind"):
-        model_from_dict({"format": "submol-model", "version": 1, "kind": ["forest"]})
+        model_from_dict({"format": "submol-model", "version": 2, "kind": ["forest"]})
     with pytest.raises(ValueError, match="malformed forest model: missing key 'payload'"):
-        model_from_dict({"format": "submol-model", "version": 1, "kind": "forest"})
+        model_from_dict({"format": "submol-model", "version": 2, "kind": "forest"})
     with pytest.raises(ValueError, match="malformed net model: NetModel must be an object"):
-        model_from_dict({"format": "submol-model", "version": 1, "kind": "net", "payload": []})
+        model_from_dict({"format": "submol-model", "version": 2, "kind": "net", "payload": []})
     doc = model_to_dict(train_forest(toy_data(), ForestConfig(trees=1), seed=0))
     doc["payload"]["trees"] = "abc"
     with pytest.raises(ValueError, match="malformed forest model: expected a list, got str"):

@@ -34,9 +34,17 @@ def blobs(rng, n_each=12, gap=2.0):
     return mat(X, y)
 
 
-def full_alphas(model, n):
-    alphas = np.zeros(n)
-    alphas[model.sv_indices] = model.alphas
+def full_alphas(model, X, y):
+    """Each training row's alpha.  The support rows are stored in training
+    order, so each is matched to the next equal row with an equal label;
+    rows that are equal in both are interchangeable in the dual."""
+    alphas = np.zeros(len(y))
+    r = 0
+    for row, label, alpha in zip(model.sv_rows, model.sv_labels, model.alphas):
+        while not (y[r] == label and np.array_equal(X[r], row)):
+            r += 1
+        alphas[r] = alpha
+        r += 1
     return alphas
 
 
@@ -44,7 +52,7 @@ def kkt_residual(model, X, y):
     """Largest KKT violation of the returned model over its training rows."""
     cfg = model.config
     box = np.where(y > 0, cfg.pos_cost_factor, 1.0) * cfg.C
-    alphas = full_alphas(model, len(y))
+    alphas = full_alphas(model, X, y)
     margin = y * model.score_rows(X) * model.norm_w - 1.0
     viol = np.maximum(
         np.where(alphas < box * (1.0 - 1e-8), -margin, 0.0),
@@ -61,7 +69,7 @@ def test_two_point_problem_solved_exactly():
     assert model.alphas.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
     assert model.bias == pytest.approx(0.0, abs=1e-12)
     assert model.norm_w == pytest.approx(1.0, abs=1e-12)
-    assert model.sv_indices.tolist() == [0, 1]
+    assert model.sv_rows.tolist() == [[1.0], [-1.0]]
     # scores are signed distances: the midpoint is on the plane, the
     # training points sit one unit away on either side
     assert model.score_rows(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
@@ -134,36 +142,11 @@ def test_rbf_kernel_value_definition():
     model = SvmModel(
         config=cfg, seed=0, n_features=2,
         alphas=np.array([1.0]), bias=0.25,
-        sv_rows=np.array([[1.0, 0.0]]), sv_labels=np.array([1.0]),
-        sv_indices=np.array([0]), norm_w=1.0,
+        sv_rows=np.array([[1.0, 0.0]]), sv_labels=np.array([1.0]), norm_w=1.0,
     )
     x = np.array([[0.0, 2.0]])
     expected = np.exp(-0.5 * 5.0) + 0.25
     assert model.score_rows(x)[0] == pytest.approx(expected, abs=1e-12)
-
-
-def test_precomputed_kernel_matches_linear():
-    data = blobs(np.random.default_rng(1), n_each=8)
-    X = data.dense()
-    linear = train_svm(data, SvmConfig(kernel="linear", C=5.0))
-    gram = DatasetMatrix(X @ X.T, data.y, data.ids, None)
-    precomputed = train_svm(gram, SvmConfig(kernel="precomputed", C=5.0))
-    assert np.allclose(precomputed.alphas, linear.alphas, atol=1e-8)
-    assert precomputed.bias == pytest.approx(linear.bias, abs=1e-8)
-    assert precomputed.norm_w == pytest.approx(linear.norm_w, abs=1e-8)
-    # scoring consumes similarity columns against the training set
-    new_rows = np.array([[0.5, 0.5], [-1.0, -2.0]])
-    sim = new_rows @ X.T
-    assert np.allclose(
-        precomputed.score_rows(sim), linear.score_rows(new_rows), atol=1e-8
-    )
-    assert precomputed.sv_rows.size == 0
-
-
-def test_precomputed_needs_square_matrix():
-    data = mat(np.ones((3, 2)), [1, -1, 1])
-    with pytest.raises(ConfigError, match="square"):
-        train_svm(data, SvmConfig(kernel="precomputed"))
 
 
 # --- optimality against an independent solver -------------------------------
@@ -209,7 +192,7 @@ def test_dual_optimum_matches_independent_solver(seed):
     else:
         K = np.exp(-cfg.gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
     box = np.where(y > 0, cfg.pos_cost_factor * cfg.C, cfg.C)
-    alphas = full_alphas(model, len(y))
+    alphas = full_alphas(model, X, y)
     coef = alphas * y
     dual = alphas.sum() - 0.5 * coef @ K @ coef
     assert dual == pytest.approx(reference_dual(K, y.astype(float), box), rel=1e-8)
@@ -261,6 +244,8 @@ def test_degenerate_training_data():
 def test_config_validation():
     with pytest.raises(ConfigError, match="kernel"):
         SvmConfig(kernel="poly")
+    with pytest.raises(ConfigError, match="kernel"):
+        SvmConfig(kernel="precomputed")
     with pytest.raises(ConfigError, match="cost"):
         SvmConfig(C=0.0)
     with pytest.raises(ConfigError, match="cost"):
@@ -269,6 +254,15 @@ def test_config_validation():
         SvmConfig(kernel="rbf", gamma=0.0)
     with pytest.raises(ConfigError, match="tolerance"):
         SvmConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field,named", [
+    ("C", "cost"), ("pos_cost_factor", "cost"), ("gamma", "gamma"), ("tol", "tolerance"),
+])
+def test_config_rejects_non_finite_values(field, named, value):
+    with pytest.raises(ConfigError, match=f"{named} .*positive and finite"):
+        SvmConfig(kernel="rbf", **{field: value})
 
 
 def test_score_rows_checks_width():
@@ -287,7 +281,7 @@ def test_training_ignores_seed_and_repeats_exactly():
     assert np.array_equal(a.alphas, b.alphas)
     assert a.bias == b.bias
     assert a.norm_w == b.norm_w
-    assert np.array_equal(a.sv_indices, b.sv_indices)
+    assert np.array_equal(a.sv_rows, b.sv_rows)
 
 
 def test_default_threshold_is_zero():
