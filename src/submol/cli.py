@@ -33,7 +33,7 @@ from .features import (
 from .forest import ForestConfig
 from .graph import ParseError, parse_sdf, parse_smiles
 from .ingest import IngestError, Resolver, featurize_pairs, label_records, load_pairs
-from .kernels import KernelError, gram_matrix, save_gram
+from .kernels import KernelError, KernelizedModel, gram_matrix, save_gram
 from .neural import NetConfig
 from .persist import load_model, save_model
 from .protocol import (
@@ -92,6 +92,16 @@ def parse_range_set(text: str | int) -> list[int]:
     return sorted(values)
 
 
+def max_features(text: str) -> str | int:
+    """``--max-features``: sqrt, all or a positive integer."""
+    if text in ("sqrt", "all"):
+        return text
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def _add_featurize(sub) -> None:
     p = _subparser(sub, "featurize", "extract subgraph-count features")
     p.add_argument("--input", required=True, help="input file")
@@ -117,7 +127,8 @@ def _add_algo_flags(p) -> None:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--criterion", default="gini", choices=("gini", "entropy"))
-    p.add_argument("--max-features", default="sqrt")
+    p.add_argument("--max-features", type=max_features, default="sqrt",
+                   help="columns tried per split: sqrt, all or a positive integer")
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--val-fraction", type=float, default=0.2)
@@ -239,16 +250,8 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
 def _pipeline(args) -> PipelineSpec:
     """The classifier, kernel and thread count that the algorithm flags ask for."""
     if args.algo == "rf":
-        max_features: str | int = args.max_features
-        if isinstance(max_features, str) and max_features not in ("sqrt", "all"):
-            try:
-                max_features = int(max_features)
-            except ValueError:
-                raise ConfigError(
-                    f"--max-features wants sqrt, all or an integer, got {max_features!r}"
-                ) from None
         cfg = ForestConfig(trees=args.trees, criterion=args.criterion,
-                           max_features=max_features)
+                           max_features=args.max_features)
     elif args.algo in ("mlp", "pnet"):
         cfg = NetConfig(
             learning_rate=args.learning_rate,
@@ -419,6 +422,13 @@ def cmd_report(args) -> int:
     data = _load_features(args.features, args.vocab)
     with open(args.model, encoding="utf-8") as handle:
         model = load_model(handle)
+    if isinstance(model, KernelizedModel) and model.vocab_sha256 not in (
+        None, data.vocab.sha256()
+    ):
+        raise ConfigError(
+            f"the model was trained on vocabulary sha256 {model.vocab_sha256}, "
+            f"but --vocab has sha256 {data.vocab.sha256()}"
+        )
     scores = model.score_rows(data.X)
     points = roc_points(scores, data.y)
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -15,6 +15,7 @@ apart in concatenated vectors.
 
 from __future__ import annotations
 
+import hashlib
 import operator
 import re
 from dataclasses import dataclass, field
@@ -249,6 +250,15 @@ class FeatureVocabulary:
         keys are parsed once per vocabulary.
         """
         return self._block_table()[1]
+
+    def sha256(self) -> str:
+        """Hex sha256 of the keys joined by newlines in column order; taken
+        once per vocabulary."""
+        digest = self.__dict__.get("_sha256")
+        if digest is None:
+            digest = hashlib.sha256("\n".join(self.keys).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_sha256", digest)
+        return digest
 
     def restrict(self, columns: np.ndarray) -> "FeatureVocabulary":
         """Vocabulary of the given ascending ``columns`` only.

@@ -49,6 +49,8 @@ class ForestConfig:
         if isinstance(self.max_features, str):
             if self.max_features not in ("sqrt", "all"):
                 raise ConfigError(f"unknown feature-sampling rule {self.max_features!r}")
+        elif type(self.max_features) is not int:  # True is an int too
+            raise ConfigError(f"max_features must be an integer, got {self.max_features!r}")
         elif self.max_features < 1:
             raise ConfigError("max_features must be positive")
 
@@ -276,11 +278,9 @@ def _split_node(
     indptr = b.by_row.indptr
     present = np.zeros(n_features, dtype=bool)
     present[b.by_row.indices[_ranges(indptr[idx], indptr[idx + 1] - indptr[idx])]] = True
-    present = present[scan]
     step = len(feats)
-    for start in range(0, len(scan), step):
-        if not present[start : start + step].any():
-            continue
+    starts = np.arange(0, len(scan), step)
+    for start in starts[np.add.reduceat(present[scan], starts) > 0]:
         chunk = np.sort(scan[start : start + step])
         best = _best_split(b, idx, chunk, cfg.criterion)
         if best is not None:

@@ -12,14 +12,16 @@ live in ``tests/helpers.py``.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Any, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.typing import NDArray
 
-from .features import DatasetMatrix
+from .features import DatasetMatrix, FeatureVocabulary
 
 
 class ZeroRowWarning(UserWarning):
@@ -68,75 +70,116 @@ def _block_normalized(X, block_ids: np.ndarray, n_blocks: int):
     return normalized, norms.reshape(n_rows, n_blocks)
 
 
-def kernel_feature_rows(
-    train: DatasetMatrix, rows: DatasetMatrix, kernel: str = "cosine"
-) -> np.ndarray:
-    """Similarities of ``rows`` against every training row.
+def kernel_block_ids(data: DatasetMatrix, kernel: str) -> np.ndarray | None:
+    """The column blocks ``kernel`` normalizes over, as
+    :func:`kernel_feature_rows` takes them: None for cosine, one block, and
+    the vocabulary's block of each column for nspdk."""
+    if kernel == "cosine":
+        return None
+    if kernel != "nspdk":
+        raise KernelError(f"unknown kernel {kernel!r}")
+    if data.vocab is None:
+        raise KernelError("rows lack block metadata; a vocabulary is required")
+    if not len(data.vocab):
+        raise KernelError("rows lack block metadata; the vocabulary is empty")
+    return data.vocab.block_ids()
 
-    The result (eval rows x train rows) serves as a kernelized data
+
+def kernel_feature_rows(train, rows, block_ids: np.ndarray | None = None) -> np.ndarray:
+    """Similarities of the sparse ``rows`` against every ``train`` row.
+
+    The result (rows x train rows) serves as a kernelized data
     representation: models that only consume plain feature matrices can be
     fed these similarity columns instead.
 
     Both row sets stay sparse.  Each stored value is divided by the L2 norm
-    of its (row, block), one sparse product ``A @ B.T`` sums the per-block
-    cosines, since the blocks partition the columns, and the sum is divided
-    by the block count.  Cosine is the case of one block.  A self-kernel
-    (``rows is train``) normalizes once.
+    of its (row, block), with ``block_ids`` numbering each column's block
+    from 0, one sparse product ``A @ B.T`` sums the per-block cosines, since
+    the blocks partition the columns, and the sum is divided by the block
+    count.  Without ``block_ids`` that is cosine, the case of one block.  A
+    self-kernel (``rows is train``) normalizes once.
     """
-    if rows.X.shape[1] != train.X.shape[1]:
+    if rows.shape[1] != train.shape[1]:
         raise KernelError("row sets have different widths")
-    if kernel == "cosine":
-        block_ids, n_blocks = np.zeros(train.X.shape[1], dtype=np.intp), 1
-    elif kernel == "nspdk":
-        if rows.vocab is None or train.vocab is None:
-            raise KernelError("rows lack block metadata; a vocabulary is required")
-        if rows.vocab.keys != train.vocab.keys:
-            raise KernelError("row sets have different block structure")
-        block_ids = train.vocab.block_ids()
-        if not len(block_ids):
-            raise KernelError("rows lack block metadata; the vocabulary is empty")
-        n_blocks = int(block_ids.max()) + 1
+    cosine = block_ids is None
+    if cosine:
+        block_ids, n_blocks = np.zeros(train.shape[1], dtype=np.intp), 1
     else:
-        raise KernelError(f"unknown kernel {kernel!r}")
-    B, train_norms = _block_normalized(train.X, block_ids, n_blocks)
+        n_blocks = int(block_ids.max()) + 1
+    B, train_norms = _block_normalized(train, block_ids, n_blocks)
     if rows is train:
         A, row_norms = B, train_norms
     else:
-        A, row_norms = _block_normalized(rows.X, block_ids, n_blocks)
-    if kernel == "cosine" and not (row_norms.all() and train_norms.all()):
+        A, row_norms = _block_normalized(rows, block_ids, n_blocks)
+    if cosine and not (row_norms.all() and train_norms.all()):
         warnings.warn("zero feature row in cosine kernel", ZeroRowWarning, stacklevel=2)
     return (A @ B.T).toarray() / n_blocks
 
 
+@dataclass
 class KernelizedModel:
     """A model trained on similarity columns against a fixed basis set.
 
-    Wraps an inner model together with the basis rows, so new feature rows
-    are first mapped to kernel similarities and then scored.
+    Keeps the basis rows (CSR), for nspdk each basis column's block, the
+    fingerprint of the basis columns' vocabulary and the inner model, so new
+    feature rows are first mapped to kernel similarities and then scored.
+    ``vocab`` is that vocabulary, or only its sha256 once loaded from a
+    file: fitting a model does not pay for a fingerprint that only saving
+    and checking read.
     """
 
-    def __init__(self, kernel: str, basis: DatasetMatrix, inner):
-        self.kernel = kernel
-        self.basis = basis
-        self.inner = inner
-        self.threshold = inner.threshold
+    kernel: str
+    basis: sp.csr_matrix
+    block_ids: NDArray[np.intp] | None  # nspdk only
+    vocab: FeatureVocabulary | str | None
+    inner: Any
+
+    def __post_init__(self):
+        self.basis = sp.csr_matrix(self.basis, dtype=float)
+        width = self.basis.shape[1]
+        if self.kernel == "cosine":
+            valid = self.block_ids is None
+        elif self.kernel == "nspdk":
+            ids = self.block_ids
+            # blocks numbered densely from 0: n_blocks is the number of ids
+            valid = (
+                ids is not None and ids.shape == (width,) and width > 0
+                and 0 <= ids.min() and ids.max() < width and np.bincount(ids).all()
+            )
+        else:
+            raise ValueError(f"unknown kernel {self.kernel!r}")
+        if not valid:
+            raise ValueError(
+                "block_ids must give each basis column's block (nspdk only), "
+                "numbered from 0 with none skipped"
+            )
+        vocab = self.vocab
+        if not (vocab is None or isinstance(vocab, FeatureVocabulary)
+                or isinstance(vocab, str) and re.fullmatch("[0-9a-f]{64}", vocab)):
+            raise ValueError("vocab_sha256 must be 64 lowercase hex digits or null")
+
+    @property
+    def threshold(self) -> float:
+        return self.inner.threshold
+
+    @property
+    def vocab_sha256(self) -> str | None:
+        if isinstance(self.vocab, FeatureVocabulary):
+            return self.vocab.sha256()
+        return self.vocab
 
     def score_rows(self, X) -> np.ndarray:
         if not sp.issparse(X):
             X = np.atleast_2d(np.asarray(X, dtype=float))
         X = sp.csr_matrix(X, dtype=float)  # the kernel checks the width
-        rows = DatasetMatrix(
-            X,
-            np.ones(X.shape[0], dtype=int),
-            tuple(str(i) for i in range(X.shape[0])),
-            self.basis.vocab,
-        )
-        return self.inner.score_rows(kernel_feature_rows(self.basis, rows, self.kernel))
+        return self.inner.score_rows(kernel_feature_rows(self.basis, X, self.block_ids))
 
 
 def gram_matrix(data: DatasetMatrix, kernel: str = "cosine") -> GramMatrix:
     """Kernel matrix of a row set against itself."""
-    return GramMatrix(kernel_feature_rows(data, data, kernel), data.ids)
+    return GramMatrix(
+        kernel_feature_rows(data.X, data.X, kernel_block_ids(data, kernel)), data.ids
+    )
 
 
 #: About how many values :func:`save_gram` formats per block of rows; its

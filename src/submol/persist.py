@@ -1,12 +1,14 @@
 """Self-describing model files.
 
 Models serialize to a versioned JSON container whose payload is the model's
-dataclass fields: nested dataclasses become objects and arrays become nested
-lists.  Loading rebuilds every field from its annotation, so a field added to
-or dropped from a model changes its files with no edit here.  The one
-exception is the kernelized model, whose payload holds its basis matrix and
-its inner model's whole document.  All floats go through Python's shortest
-round-trip repr, so save -> load -> save reproduces the file byte for byte.
+dataclass fields: nested dataclasses become objects, arrays become nested
+lists, and a CSR matrix becomes ``{shape, indptr, indices, data}``.
+Loading rebuilds every field from its annotation, so a field added to or
+dropped from a model changes its files with no edit here.  The one
+exception is the kernelized model, whose payload holds its basis matrix,
+its basis columns' blocks and vocabulary fingerprint, and its inner model's
+whole document.  All floats go through Python's shortest round-trip repr, so
+save -> load -> save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from typing import Any, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .features import DatasetMatrix, FeatureVocabulary
 from .forest import ForestModel
 from .kernels import KernelizedModel
 from .neural import NetModel
 from .svm import SvmModel
 
 FORMAT = "submol-model"
-VERSION = 2
+VERSION = 3
 
 _MODELS = {"forest": ForestModel, "net": NetModel, "svm": SvmModel}
 
@@ -50,11 +51,46 @@ def _encode(value):
     if dataclasses.is_dataclass(value):
         fields = _fields(type(value))
         return {key: _encode(getattr(value, name)) for key, (name, _) in fields.items()}
+    if sp.issparse(value):
+        return {
+            "shape": list(value.shape),
+            "indptr": value.indptr.tolist(),
+            "indices": value.indices.tolist(),
+            "data": value.data.tolist(),
+        }
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, list):
         return [_encode(item) for item in value]
     return value
+
+
+def _array(value, dtype) -> np.ndarray:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    array = np.asarray(value)
+    if np.dtype(dtype).kind in "iu" and array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"expected integers, got {array.dtype} values")
+    return array.astype(dtype, copy=False)
+
+
+def _csr(value) -> sp.csr_matrix:
+    """A CSR matrix from its JSON form, every index checked."""
+    if not isinstance(value, dict):
+        raise TypeError("a sparse matrix must be an object")
+    if value.keys() != {"shape", "indptr", "indices", "data"}:
+        raise ValueError(f"sparse matrix has keys {sorted(value)}")
+    shape = value["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"bad sparse matrix shape {shape!r}")
+    matrix = sp.csr_matrix(
+        (_array(value["data"], float), _array(value["indices"], np.int64),
+         _array(value["indptr"], np.int64)),
+        shape=tuple(shape),
+    )
+    matrix.check_format(full_check=True)
+    return matrix
 
 
 def _decode(tp, value):
@@ -69,42 +105,20 @@ def _decode(tp, value):
             unknown = sorted(value.keys() - fields.keys())
             raise ValueError(f"{tp.__name__} missing keys {missing}, unknown keys {unknown}")
         return tp(**{name: _decode(hint, value[key]) for key, (name, hint) in fields.items()})
-    if origin in (np.ndarray, list) and not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
+    if tp is sp.csr_matrix:
+        return _csr(value)
     if origin is np.ndarray:  # NDArray[dtype]
-        return np.asarray(value, dtype=typing.get_args(args[1])[0])
+        return _array(value, typing.get_args(args[1])[0])
     if origin is list:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
         return [_decode(args[0], item) for item in value]
     if origin is types.UnionType and value is not None:
         return _decode(args[0], value)  # X | None decodes as X; scalars pass through
     return value
 
 
-def _matrix_payload(data: DatasetMatrix) -> dict[str, Any]:
-    X, vocab = sp.coo_matrix(data.X), data.vocab
-    if vocab is not None:
-        vocab = {"keys": list(vocab.keys), "masses": list(vocab.masses)}
-    return {
-        "shape": list(X.shape),
-        "rows": X.row.tolist(),
-        "cols": X.col.tolist(),
-        "vals": X.data.tolist(),
-        "labels": data.y.tolist(),
-        "ids": list(data.ids),
-        "vocab": vocab,
-    }
-
-
-def _matrix_restore(payload: dict[str, Any]) -> DatasetMatrix:
-    X = sp.csr_matrix(
-        (payload["vals"], (payload["rows"], payload["cols"])),
-        shape=tuple(payload["shape"]),
-        dtype=float,
-    )
-    vocab = payload["vocab"]
-    if vocab is not None:
-        vocab = FeatureVocabulary(tuple(vocab["keys"]), tuple(vocab["masses"]))
-    return DatasetMatrix(X, np.asarray(payload["labels"]), tuple(payload["ids"]), vocab)
+_KERNELIZED_KEYS = {"kernel", "basis", "block_ids", "vocab_sha256", "inner"}
 
 
 def model_to_dict(model) -> dict[str, Any]:
@@ -112,7 +126,9 @@ def model_to_dict(model) -> dict[str, Any]:
         kind = "kernelized"
         payload = {
             "kernel": model.kernel,
-            "basis": _matrix_payload(model.basis),
+            "basis": _encode(model.basis),
+            "block_ids": _encode(model.block_ids),
+            "vocab_sha256": model.vocab_sha256,
             "inner": model_to_dict(model.inner),
         }
     else:
@@ -136,9 +152,14 @@ def model_from_dict(doc):
         payload = doc["payload"]
         if kind != "kernelized":
             return _decode(_MODELS[kind], payload)
+        if not isinstance(payload, dict) or payload.keys() != _KERNELIZED_KEYS:
+            raise ValueError(f"payload must be an object with keys {sorted(_KERNELIZED_KEYS)}")
+        block_ids = payload["block_ids"]
         return KernelizedModel(
             payload["kernel"],
-            _matrix_restore(payload["basis"]),
+            _csr(payload["basis"]),
+            None if block_ids is None else _array(block_ids, np.intp),
+            payload["vocab_sha256"],
             model_from_dict(payload["inner"]),
         )
     except KeyError as exc:

@@ -28,7 +28,7 @@ from .evaluate import (
 )
 from .features import DatasetMatrix
 from .forest import ForestConfig, train_forest
-from .kernels import KernelizedModel, kernel_feature_rows
+from .kernels import KernelizedModel, kernel_block_ids, kernel_feature_rows
 from .neural import NetConfig, train_mlp, train_partitioned_net
 from .parallel import map_tasks
 from .svm import SvmConfig, train_svm
@@ -173,12 +173,13 @@ def fit(train: DatasetMatrix, pipeline: PipelineSpec, seed: int, threads: int):
     """
     seen = train
     if pipeline.kernel != "none":
-        rows = kernel_feature_rows(train, train, pipeline.kernel)
+        block_ids = kernel_block_ids(train, pipeline.kernel)
+        rows = kernel_feature_rows(train.X, train.X, block_ids)
         seen = DatasetMatrix(rows, train.y, train.ids, None)
     _, trainer = ALGORITHMS[pipeline.algorithm]
     model = trainer(seen, pipeline.algo_config, seed, threads)
     if pipeline.kernel != "none":
-        model = KernelizedModel(pipeline.kernel, train, model)
+        model = KernelizedModel(pipeline.kernel, train.X, block_ids, train.vocab, model)
     return model, seen
 
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.typing import NDArray
 
 from .errors import ConfigError, TrainingError
@@ -57,26 +58,48 @@ def _kernel_matrix(X: np.ndarray, cfg: SvmConfig) -> np.ndarray:
 
 @dataclass
 class SvmModel:
+    """A trained SVM; it keeps only what scoring reads.
+
+    A linear model keeps its weight vector ``w``; an rbf model keeps its
+    support rows, sparse, in ``sv_rows``.  ``alphas`` and ``sv_labels`` are
+    the support vectors' dual coefficients and labels.
+    """
+
     config: SvmConfig
     seed: int
     n_features: int
     alphas: NDArray[np.float64]
     bias: float
-    sv_rows: NDArray[np.float64]
     sv_labels: NDArray[np.float64]
     norm_w: float
+    w: NDArray[np.float64] | None = None  # linear
+    sv_rows: sp.csr_matrix | None = None  # rbf
     threshold: float = 0.0
 
+    def __post_init__(self):
+        if self.sv_rows is not None:
+            self.sv_rows = sp.csr_matrix(self.sv_rows, dtype=float)
+        if self.config.kernel == "linear":
+            kept, dropped, shape = self.w, self.sv_rows, (self.n_features,)
+        else:
+            kept, dropped, shape = self.sv_rows, self.w, (len(self.alphas), self.n_features)
+        if dropped is not None or kept is None or kept.shape != shape or not (
+            self.alphas.shape == self.sv_labels.shape == (len(self.alphas),)
+        ):
+            raise ValueError(
+                "a linear SVM needs w of length n_features and no sv_rows; an "
+                "rbf SVM needs one sv_rows row per alpha and no w"
+            )
+
     def _raw_scores(self, X: np.ndarray) -> np.ndarray:
+        if self.w is not None:
+            return X @ self.w + self.bias
         coef = self.alphas * self.sv_labels
-        cfg = self.config
-        if cfg.kernel == "linear":
-            w = coef @ self.sv_rows
-            return X @ w + self.bias
+        sv_rows = self.sv_rows.toarray()
         sq_x = (X * X).sum(axis=1)
-        sq_s = (self.sv_rows * self.sv_rows).sum(axis=1)
-        d2 = sq_x[:, None] + sq_s[None, :] - 2.0 * (X @ self.sv_rows.T)
-        return np.exp(-cfg.gamma * np.maximum(d2, 0.0)) @ coef + self.bias
+        sq_s = (sv_rows * sv_rows).sum(axis=1)
+        d2 = sq_x[:, None] + sq_s[None, :] - 2.0 * (X @ sv_rows.T)
+        return np.exp(-self.config.gamma * np.maximum(d2, 0.0)) @ coef + self.bias
 
     def score_rows(self, X) -> np.ndarray:
         X = scoring_rows(X, self.n_features)
@@ -84,24 +107,15 @@ class SvmModel:
         return raw / self.norm_w if self.norm_w > 0 else raw
 
 
-def train_svm(data: DatasetMatrix, cfg: SvmConfig, seed: int = 0) -> SvmModel:
-    """Solve the dual to tolerance; a pure function of (data, cfg).
+def _solve_dual(K: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, float]:
+    """The dual solution for the kernel matrix ``K``: every row's alpha, and
+    the bias.
 
-    ``seed`` is accepted for interface uniformity; the solver's choices are
-    all deterministic, so it never draws from the stream.  Raises
-    :class:`TrainingError` naming the residual if the step cap is reached
-    (or no pair can move) with a violation above tolerance.
+    Raises :class:`TrainingError` naming the residual if the step cap is
+    reached (or no pair can move) with a violation above tolerance.
     """
-    X = data.dense()
-    y = np.asarray(data.y, dtype=float)
     n = len(y)
-    if n < 2:
-        raise TrainingError("training needs at least two rows")
-    if np.all(y == 1) or np.all(y == -1):
-        raise TrainingError("training rows are all one class")
-    K = _kernel_matrix(X, cfg)
     box = np.where(y > 0, cfg.pos_cost_factor * cfg.C, cfg.C)
-
     alphas = np.zeros(n)
     errors = -y.copy()  # f(x_i) - y_i without the bias, all alphas zero
     diag = np.diag(K)
@@ -150,20 +164,38 @@ def train_svm(data: DatasetMatrix, cfg: SvmConfig, seed: int = 0) -> SvmModel:
         errors += y[i] * (ai_new - ai) * K[:, i] + y[j] * (aj_new - aj) * K[:, j]
         alphas[i], alphas[j] = ai_new, aj_new
         steps += 1
-    bias = -(errors[i] + max_down) / 2.0
+    return alphas, -(errors[i] + max_down) / 2.0
 
+
+def train_svm(data: DatasetMatrix, cfg: SvmConfig, seed: int = 0) -> SvmModel:
+    """Solve the dual to tolerance; a pure function of (data, cfg).
+
+    ``seed`` is accepted for interface uniformity; the solver's choices are
+    all deterministic, so it never draws from the stream.  A linear model's
+    ``w`` is taken from the dense support rows, ``(alphas * y) @ X``.
+    """
+    X = data.dense()
+    y = np.asarray(data.y, dtype=float)
+    if len(y) < 2:
+        raise TrainingError("training needs at least two rows")
+    if np.all(y == 1) or np.all(y == -1):
+        raise TrainingError("training rows are all one class")
+    K = _kernel_matrix(X, cfg)
+    alphas, bias = _solve_dual(K, y, cfg)
+    box = np.where(y > 0, cfg.pos_cost_factor * cfg.C, cfg.C)
     support = np.nonzero(alphas > box * _BOUND_EPS)[0]
     coef = alphas[support] * y[support]
     norm_w_sq = float(coef @ K[np.ix_(support, support)] @ coef)
-    model = SvmModel(
+    sv_rows = X[support]
+    linear = cfg.kernel == "linear"
+    return SvmModel(
         config=cfg,
         seed=seed,
         n_features=X.shape[1],
         alphas=alphas[support].copy(),
         bias=bias,
-        sv_rows=X[support].copy(),
         sv_labels=y[support].copy(),
         norm_w=float(np.sqrt(max(norm_w_sq, 0.0))),
+        w=coef @ sv_rows if linear else None,
+        sv_rows=None if linear else sv_rows,
     )
-    return model
-

@@ -7,7 +7,9 @@ recomputed by explicit pair counting, so library results can be checked
 against a second route.  The row-by-row kernel definitions
 (:func:`cosine_kernel`, :func:`nspdk_kernel`) and the one-sample net loss
 (:func:`net_loss`) are the oracles of the sparse kernels and of the net
-gradients.
+gradients.  The version-2 scorers are the exception: they reuse the SVM
+solver and the block normalization, and redo only what the model file
+format changed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from submol import kernels, svm
+from submol.features import parse_feature_key
 from submol.graph import AtomNode, MolecularGraph
 from submol.kernels import KernelError, ZeroRowWarning
 from submol.neural import NetParams, net_forward
@@ -352,3 +356,53 @@ def net_loss(p: NetParams, x: np.ndarray, target: float) -> float:
     """Squared error of one sample: (out - target)^2 / 2."""
     _, out = net_forward(p, x)
     return 0.5 * (out - target) ** 2
+
+
+# --- Version-2 model scoring -------------------------------------------------
+#
+# How models scored when their files held an SVM's support rows dense and a
+# kernelized model's basis with its vocabulary keys.  Version-3 files keep
+# a linear SVM's w, an rbf SVM's support rows sparse and the basis columns'
+# block ids instead, and must score to the same bits.
+
+
+def version2_support_rows(X, y, cfg) -> np.ndarray:
+    """The dense support rows, in training order, that a version-2 file of
+    the SVM ``train_svm`` fits to ``X`` stored."""
+    X = np.asarray(X.toarray() if sp.issparse(X) else X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    alphas, _ = svm._solve_dual(svm._kernel_matrix(X, cfg), y, cfg)
+    box = np.where(y > 0, cfg.pos_cost_factor * cfg.C, cfg.C)
+    return X[np.nonzero(alphas > box * svm._BOUND_EPS)[0]]
+
+
+def version2_svm_scores(model, sv_rows: np.ndarray, X) -> np.ndarray:
+    """Scores of ``X`` by ``model`` as version 2 computed them from its
+    dense support rows: a linear SVM took ``w = coef @ sv_rows`` per call."""
+    X = np.asarray(X.toarray() if sp.issparse(X) else X, dtype=float)
+    coef = model.alphas * model.sv_labels
+    if model.config.kernel == "linear":
+        raw = X @ (coef @ sv_rows) + model.bias
+    else:
+        sq_x = (X * X).sum(axis=1)
+        sq_s = (sv_rows * sv_rows).sum(axis=1)
+        d2 = sq_x[:, None] + sq_s[None, :] - 2.0 * (X @ sv_rows.T)
+        raw = np.exp(-model.config.gamma * np.maximum(d2, 0.0)) @ coef + model.bias
+    return raw / model.norm_w if model.norm_w > 0 else raw
+
+
+def version2_kernel_rows(basis, X, kernel: str) -> np.ndarray:
+    """Kernel rows of ``X`` against the ``basis`` DatasetMatrix as version 2
+    computed them: nspdk blocks parsed from the basis's vocabulary keys and
+    numbered in sorted order."""
+    width = basis.X.shape[1]
+    if kernel == "cosine":
+        block_ids = np.zeros(width, dtype=np.intp)
+    else:
+        labels = [parse_feature_key(key) for key in basis.vocab.keys]
+        number = {label: b for b, label in enumerate(sorted(set(labels)))}
+        block_ids = np.array([number[label] for label in labels], dtype=np.intp)
+    n_blocks = int(block_ids.max()) + 1
+    B, _ = kernels._block_normalized(basis.X, block_ids, n_blocks)
+    A, _ = kernels._block_normalized(sp.csr_matrix(X, dtype=float), block_ids, n_blocks)
+    return (A @ B.T).toarray() / n_blocks

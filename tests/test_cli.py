@@ -13,7 +13,7 @@ import pytest
 from submol import cli, kernels, protocol, signatures
 from submol.cli import main, parse_range_set
 from submol.errors import ConfigError
-from submol.features import build_matrix, height_features, save_sparse, save_vocab
+from submol.features import build_matrix, height_features, load_vocab, save_sparse, save_vocab
 from submol.graph import parse_smiles
 from helpers import nitro_smiles_dataset
 
@@ -288,7 +288,7 @@ PINNED_ARTIFACTS = {
             "features": "e56628b4b2afa8b2609c5a8fe02007aaea8334dd9fedb705c0095dd891d8c140",
             "vocab": "69d758b33e013a574a3bdeeb9a9b3089e21f1638cf6948cb5ef92438f0877fd0",
             "gram": "c645556982976295f504f499d5a21ec4b6cea38cecfa4853c688da6c1d8a75f0",
-            "model": "b11dec9e74b7a1e801b5ea66bceec1293ed1761677815c4437920bfb63108149",
+            "model": "7b35ec12a42c6ae4b04fb3304f760b4d4d8b5b533566111fe40c191f4e37e315",
             "roc": "1d1e32970ebdfb3198eb6876ae2669f80f17c7188824fb1d8f98db87a3a82d45",
         },
     ),
@@ -300,7 +300,7 @@ PINNED_ARTIFACTS = {
             "features": "116c94ea775189cadb59c1c6a029578e3dbbb18e37afdb747d03ff3ef5672324",
             "vocab": "086030234d9efd3b4cfe8647aa99741781b712b07364a5f327360735da750a7e",
             "gram": "09b509040d6c8952db2a64c3c73fa54d4f319ea5165bdb95129f43377db274c7",
-            "model": "b6ec59971f60956e074d637f4aedd044943558b572c543d322b3c95d52154384",
+            "model": "9c56d05f69351d2cb0600c99876d9d51ddced5c8bc7cd84c376ca7a06b0d5cdb",
             "roc": "ca1abcab5c50b6d363ef7c456fb1be556470ff1aff69ca3749e44d75d913becb",
         },
     ),
@@ -349,9 +349,9 @@ def test_kernel_rows_are_computed_once_per_use(nitro_file, tmp_path, monkeypatch
     calls = []
     original = kernels.kernel_feature_rows
 
-    def counting(train, rows, kernel="cosine"):
-        calls.append((len(train), len(rows)))
-        return original(train, rows, kernel)
+    def counting(train, rows, block_ids=None):
+        calls.append((train.shape[0], rows.shape[0]))
+        return original(train, rows, block_ids)
 
     for module in (kernels, protocol):
         monkeypatch.setattr(module, "kernel_feature_rows", counting)
@@ -486,6 +486,42 @@ def test_config_value_of_another_type_is_exit_2(nitro_file, tmp_path, capsys,
     assert not model.exists()
 
 
+@pytest.mark.parametrize("value", [True, 2.5, "abc", 0, -1, "0"],
+                         ids=["true", "float", "text", "zero", "negative", "zero-text"])
+def test_config_max_features_must_be_a_flag_value(nitro_file, tmp_path, capsys, value):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_features": value}), encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--config", str(config), "--features", features,
+                 "--vocab", vocab, "--trees", "2", "--model-out", str(model)]) == 2
+    assert f"bad value {value!r} for config key 'max_features'" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("value,stored", [
+    ("sqrt", "sqrt"), ("all", "all"), (3, 3), ("3", 3),
+], ids=["sqrt", "all", "number", "number-text"])
+def test_config_max_features_takes_flag_values(nitro_file, tmp_path, value, stored):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_features": value}), encoding="utf-8")
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--config", str(config), "--features", features,
+                 "--vocab", vocab, "--trees", "2", "--model-out", model]) == 0
+    doc = json.loads(open(model, encoding="utf-8").read())
+    assert doc["payload"]["config"]["max_features"] == stored
+
+
+def test_max_features_flag_is_checked(nitro_file, tmp_path, capsys):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    for value in ("0", "2.5", "log2"):
+        capsys.readouterr()
+        assert main(["train", "--features", features, "--vocab", vocab,
+                     "--max-features", value, "--model-out", str(tmp_path / "m.json")]) == 2
+        assert "--max-features" in capsys.readouterr().err
+
+
 def test_config_switch_takes_json_true(nitro_file, tmp_path):
     _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
     config = tmp_path / "config.json"
@@ -608,9 +644,10 @@ def _with_tree_key(doc):
     (lambda doc: {**doc, "kind": "svm", "payload": {"config": {}}}, "malformed svm model"),
     (_with_config_field, "malformed forest model"),
     (lambda doc: {**doc, "version": 1}, "unsupported model file version 1"),
+    (lambda doc: {**doc, "version": 2}, "unsupported model file version 2"),
     (_with_tree_key, "tree 0 must be an object whose one key is nodes"),
 ], ids=["not-an-object", "empty-payload", "svm-config-only", "unknown-config-field",
-        "version-1", "tree-extra-key"])
+        "version-1", "version-2", "tree-extra-key"])
 def test_malformed_model_is_exit_3(smiles_file, tmp_path, capsys, malform, named):
     model, features, vocab = train_small_forest(smiles_file, str(tmp_path))
     with open(model, encoding="utf-8") as handle:
@@ -681,6 +718,74 @@ def test_non_finite_count_is_exit_3(nitro_file, tmp_path, capsys, count):
         capsys.readouterr()
         assert main(argv) == 3, argv[0]
         assert "input error: feature counts must be finite" in capsys.readouterr().err
+
+
+def train_kernelized_svm(out_dir):
+    """An nspdk SVM on the interaction pairs: (model, features, vocab) paths."""
+    features = os.path.join(out_dir, "features.txt")
+    vocab = os.path.join(out_dir, "vocab.txt")
+    assert main(["featurize", "--input", os.path.join(DATA, "interaction_200.csv"),
+                 "--format", "pairs", "--heights", "0-1",
+                 "--out-features", features, "--out-vocab", vocab]) == 0
+    model = os.path.join(out_dir, "model.json")
+    assert main(["train", "--features", features, "--vocab", vocab, "--algo", "svm",
+                 "--kernel", "nspdk", "--cost", "0.1", "--model-out", model]) == 0
+    return model, features, vocab
+
+
+def test_report_with_another_vocabulary_of_the_same_width_is_exit_2(tmp_path, capsys):
+    model, features, vocab = train_kernelized_svm(str(tmp_path))
+    lines = open(vocab, encoding="utf-8").read().splitlines()
+    col, key, mass = lines[-1].split("\t")
+    lines[-1] = "\t".join([col, key + "x", mass])  # still in (mass, key) order
+    renamed = str(tmp_path / "renamed.txt")
+    with open(renamed, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    data = ["--model", model, "--features", features, "--out", str(tmp_path / "roc.csv")]
+    assert main(["report", *data, "--vocab", vocab]) == 0
+    capsys.readouterr()
+    assert main(["report", *data, "--vocab", renamed]) == 2
+    err = capsys.readouterr().err
+    stored = json.load(open(model, encoding="utf-8"))["payload"]["vocab_sha256"]
+    with open(renamed, encoding="utf-8") as handle:
+        given = load_vocab(handle).sha256()
+    assert "configuration error" in err and stored in err and given in err
+
+
+def _basis(edit):
+    def malform(doc):
+        edit(doc["payload"]["basis"])
+        return doc
+    return malform
+
+
+def _block_ids(value):
+    def malform(doc):
+        doc["payload"]["block_ids"] = value(doc["payload"]["block_ids"])
+        return doc
+    return malform
+
+
+@pytest.mark.parametrize("malform", [
+    _basis(lambda b: b.update(indptr=b["indptr"][:-1])),
+    _basis(lambda b: b.update(indices=[b["shape"][1]] + b["indices"][1:])),
+    _basis(lambda b: b.update(data=b["data"][:-1])),
+    _block_ids(lambda ids: ids[:-1]),
+    _block_ids(lambda ids: [-1] + ids[1:]),
+    _block_ids(lambda ids: [len(ids)] + ids[1:]),
+    _block_ids(lambda ids: None),
+], ids=["short-indptr", "index-past-width", "short-data", "short-block-ids",
+        "negative-block-id", "block-id-past-blocks", "no-block-ids"])
+def test_malformed_kernelized_model_is_exit_3(tmp_path, capsys, malform):
+    model, features, vocab = train_kernelized_svm(str(tmp_path))
+    with open(model, encoding="utf-8") as handle:
+        doc = malform(json.load(handle))
+    with open(model, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    capsys.readouterr()
+    assert main(["report", "--model", model, "--features", features, "--vocab", vocab,
+                 "--out", str(tmp_path / "roc.csv")]) == 3
+    assert "input error: malformed kernelized model" in capsys.readouterr().err
 
 
 def test_report_without_vocab_is_exit_2(smiles_file, tmp_path, capsys):

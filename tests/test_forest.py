@@ -178,6 +178,26 @@ def test_sparse_trees_match_the_dense_reference(case):
     assert np.array_equal(model.score_rows(X), expected)
 
 
+def test_sparse_scoring_sums_duplicates_in_any_order():
+    M, X, y = _random_case(3)  # small counts, with stored zeros
+    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    model = train_forest(data, ForestConfig(trees=5, max_features="all"), seed=2)
+    expected = np.mean([_dense_tree_scores(t["nodes"], X) for t in model.trees], axis=0)
+    # each stored count split in two entries, in reversed order within a row
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    half = np.floor(M.data / 2)
+    values = np.concatenate((M.data - half, half))
+    cols = np.concatenate((M.indices, M.indices))
+    order = np.lexsort((-np.arange(2 * M.nnz), np.concatenate((rows, rows))))
+    indptr = np.concatenate(([0], np.cumsum(2 * np.diff(M.indptr))))
+    messy = sp.csr_matrix((values[order], cols[order], indptr), shape=M.shape)
+    assert not messy.has_canonical_format
+    before = (messy.data.copy(), messy.indices.copy())
+    for matrix in (M, messy, messy.tocsc(), messy.tocoo()):
+        assert np.array_equal(model.score_rows(matrix), expected)
+    assert np.array_equal(messy.data, before[0]) and np.array_equal(messy.indices, before[1])
+
+
 def _dense_tree_scores(nodes, X):
     out = []
     for row in X:
@@ -449,6 +469,13 @@ def test_forest_config_validation():
         ForestConfig(max_features=0)
     assert ForestConfig(max_features="all").max_features == "all"
     assert ForestConfig(max_features=3).max_features == 3
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 2.0, np.int64(2)],
+                         ids=["true", "false", "float", "integral-float", "numpy-int"])
+def test_forest_config_rejects_non_integer_max_features(value):
+    with pytest.raises(ConfigError, match="max_features must be an integer"):
+        ForestConfig(max_features=value)
 
 
 def test_max_features_all_still_learns():

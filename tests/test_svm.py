@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from submol.errors import ConfigError, TrainingError
 from submol.features import DatasetMatrix, build_matrix
 from submol.ingest import featurize_pairs, load_pairs
-from submol.svm import SvmConfig, SvmModel, train_svm
+from submol.svm import SvmConfig, SvmModel, _kernel_matrix, _solve_dual, train_svm
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -35,17 +35,8 @@ def blobs(rng, n_each=12, gap=2.0):
 
 
 def full_alphas(model, X, y):
-    """Each training row's alpha.  The support rows are stored in training
-    order, so each is matched to the next equal row with an equal label;
-    rows that are equal in both are interchangeable in the dual."""
-    alphas = np.zeros(len(y))
-    r = 0
-    for row, label, alpha in zip(model.sv_rows, model.sv_labels, model.alphas):
-        while not (y[r] == label and np.array_equal(X[r], row)):
-            r += 1
-        alphas[r] = alpha
-        r += 1
-    return alphas
+    """Each training row's alpha, from the solver that ``train_svm`` wraps."""
+    return _solve_dual(_kernel_matrix(X, model.config), y.astype(float), model.config)[0]
 
 
 def kkt_residual(model, X, y):
@@ -69,7 +60,9 @@ def test_two_point_problem_solved_exactly():
     assert model.alphas.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
     assert model.bias == pytest.approx(0.0, abs=1e-12)
     assert model.norm_w == pytest.approx(1.0, abs=1e-12)
-    assert model.sv_rows.tolist() == [[1.0], [-1.0]]
+    # a linear model keeps only w = sum of alpha * y * x over support rows
+    assert model.sv_rows is None
+    assert model.w.tolist() == pytest.approx([1.0], abs=1e-12)
     # scores are signed distances: the midpoint is on the plane, the
     # training points sit one unit away on either side
     assert model.score_rows(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
@@ -85,13 +78,19 @@ def test_scaled_two_point_margin():
 
 
 def test_separable_blobs_margin_property():
-    model = train_svm(blobs(np.random.default_rng(0)), SvmConfig(C=10.0))
+    data = blobs(np.random.default_rng(0))
+    model = train_svm(data, SvmConfig(C=10.0))
+    X, y = data.dense(), data.y
+    alphas = full_alphas(model, X, y)
+    # the stored alphas are the support rows' ones, in training order
+    assert np.array_equal(model.alphas, alphas[alphas > 0])
+    assert np.array_equal(model.sv_labels, y[alphas > 0])
     # non-bound support vectors sit exactly on the functional margin
-    box = np.where(model.sv_labels > 0, model.config.pos_cost_factor, 1.0) * model.config.C
-    raw = model.score_rows(model.sv_rows) * model.norm_w
-    non_bound = (model.alphas > 1e-6) & (model.alphas < box - 1e-6)
+    box = np.where(y > 0, model.config.pos_cost_factor, 1.0) * model.config.C
+    raw = model.score_rows(X) * model.norm_w
+    non_bound = (alphas > 1e-6) & (alphas < box - 1e-6)
     assert non_bound.any()
-    assert np.allclose((raw * model.sv_labels)[non_bound], 1.0, atol=5e-3)
+    assert np.allclose((raw * y)[non_bound], 1.0, atol=5e-3)
 
 
 # --- per-class cost ---------------------------------------------------------
@@ -281,7 +280,7 @@ def test_training_ignores_seed_and_repeats_exactly():
     assert np.array_equal(a.alphas, b.alphas)
     assert a.bias == b.bias
     assert a.norm_w == b.norm_w
-    assert np.array_equal(a.sv_rows, b.sv_rows)
+    assert np.array_equal(a.w, b.w)
 
 
 def test_default_threshold_is_zero():
