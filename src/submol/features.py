@@ -16,10 +16,10 @@ apart in concatenated vectors.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
-import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -57,12 +57,6 @@ def parse_feature_key(key: str) -> tuple[str, int, int]:
     height = int(head)
     dist = int(rest.split("|", 1)[0]) if "|" in rest else 0
     return namespace, height, dist
-
-
-#: The text of a feature key up to and including its second "|" (its first
-#: "|" when there is one only; the whole key when there is none).
-#: :func:`parse_feature_key` reads the same block from it as from the key.
-_BLOCK_PREFIX = re.compile(r"[^|]*(?:\|(?:[^|]*\|)?)?")
 
 
 #: One neighborhood as featurization counts it: its ``"<h>|<key>"`` feature
@@ -222,25 +216,58 @@ class FeatureVocabulary:
 
     Column order is ascending mass with lexicographic tie-breaking, so the
     thirds used by the partitioned network are contiguous mass bands.
+    Masses must be finite.  The key-to-column map is built on the first
+    :meth:`index` or :meth:`columns` call.
     """
 
     keys: tuple[str, ...]
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        # each (mass, key) against its successor; the set check finds ties
-        following = zip(self.masses[1:], self.keys[1:])
-        if any(map(operator.gt, zip(self.masses, self.keys), following)):
+        self._check(np.array(self.masses, dtype=float))
+
+    def _check(self, masses: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``masses`` (this vocabulary's, as an
+        array) are finite, and the keys distinct and in (mass, key) order."""
+        if masses.shape != (len(self.keys),):
+            raise ValueError("vocabulary keys and masses must align")
+        if not np.isfinite(masses).all():
+            raise ValueError("vocabulary masses must be finite")
+        # each (mass, key) against its successor: keys decide only where
+        # the masses tie; the set check finds repeats at any distance
+        tied = np.flatnonzero(masses[1:] == masses[:-1]).tolist()
+        if (masses[1:] < masses[:-1]).any() or any(
+            map(operator.gt, _take(self.keys, tied), _take(self.keys, [i + 1 for i in tied]))
+        ):
             raise ValueError("vocabulary keys are not in (mass, key) order")
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("vocabulary contains duplicate keys")
-        object.__setattr__(self, "_index", {k: i for i, k in enumerate(self.keys)})
+
+    @classmethod
+    def _unchecked(cls, keys: tuple[str, ...], masses: tuple[float, ...]):
+        """A vocabulary of keys and masses already known to be valid."""
+        vocab = object.__new__(cls)
+        object.__setattr__(vocab, "keys", keys)
+        object.__setattr__(vocab, "masses", masses)
+        return vocab
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def index(self, key: str) -> int | None:
-        return self._index.get(key)
+        return self._positions().get(key)
+
+    def columns(self, keys: Iterable[str], count: int = -1) -> np.ndarray:
+        """Column of each of ``keys`` (``count`` of them, if known), -1 for a
+        key this vocabulary lacks."""
+        return np.fromiter(map(self._positions().get, keys, repeat(-1)), np.intp, count)
+
+    def _positions(self) -> dict[str, int]:
+        positions = self.__dict__.get("_index")
+        if positions is None:
+            positions = dict(zip(self.keys, range(len(self.keys))))
+            object.__setattr__(self, "_index", positions)
+        return positions
 
     def block_ids(self) -> np.ndarray:
         """Block number of every column (read-only).
@@ -261,15 +288,19 @@ class FeatureVocabulary:
         return digest
 
     def restrict(self, columns: np.ndarray) -> "FeatureVocabulary":
-        """Vocabulary of the given ascending ``columns`` only.
+        """Vocabulary of the given strictly ascending ``columns`` only.
 
-        The block map is taken from this vocabulary's rather than parsed
-        again, and renumbered over the blocks that still have a column.
+        Any such subset of an ordered vocabulary of distinct keys is one
+        too, so the keys are gathered without being checked again.  The
+        block map is taken from this vocabulary's rather than parsed again,
+        and renumbered over the blocks that still have a column.
         """
         columns = np.asarray(columns, dtype=np.intp)
-        vocab = FeatureVocabulary(
-            tuple(self.keys[i] for i in columns),
-            tuple(self.masses[i] for i in columns),
+        if (np.diff(columns, prepend=-1, append=len(self)) <= 0).any():
+            raise ValueError("columns must be strictly ascending columns of the vocabulary")
+        picked = columns.tolist()
+        vocab = FeatureVocabulary._unchecked(
+            _take(self.keys, picked), _take(self.masses, picked)
         )
         labels, ids = self._block_table()
         kept, ids = np.unique(ids[columns], return_inverse=True)
@@ -279,15 +310,28 @@ class FeatureVocabulary:
     def _block_table(self) -> tuple[tuple[tuple[str, int, int], ...], np.ndarray]:
         table = self.__dict__.get("_blocks")
         if table is None:
-            # a key's block is fixed by its text up to the second "|", which
-            # many keys share: parse each distinct prefix once
-            prefixes = [_BLOCK_PREFIX.match(key).group() for key in self.keys]
+            # A key's block is fixed by its text up to the second "|" (the
+            # first when it has one only, all of it when it has none), which
+            # many keys share.  Every key's cut is found in the code points
+            # of all keys at once, and each distinct prefix is parsed once.
+            text = "".join(self.keys)
+            codes = (
+                np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
+                else np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+            )
+            lengths = np.fromiter(map(len, self.keys), np.intp, len(self.keys))
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            bars = np.append(np.flatnonzero(codes == ord("|")), [len(codes)] * 2)
+            first = np.searchsorted(bars, starts)
+            one, two = bars[first], bars[first + 1]
+            cuts = np.where(two < ends, two + 1, np.where(one < ends, one + 1, ends)) - starts
+            prefixes = [key[:cut] for key, cut in zip(self.keys, cuts.tolist())]
             parsed = {p: parse_feature_key(p) for p in set(prefixes)}
             labels = sorted(set(parsed.values()))
             number = {b: i for i, b in enumerate(labels)}
-            ids = np.fromiter(
-                (number[parsed[p]] for p in prefixes), np.intp, len(prefixes)
-            )
+            block_of = {p: number[b] for p, b in parsed.items()}
+            ids = np.fromiter(map(block_of.__getitem__, prefixes), np.intp, len(prefixes))
             table = self._set_block_table(tuple(labels), ids)
         return table
 
@@ -303,8 +347,28 @@ class FeatureVocabulary:
             masses.update(vec.masses)
         if not masses:
             raise ValueError("no features to build a vocabulary from")
-        keys = sorted(masses, key=lambda k: (masses[k], k))
-        return cls(tuple(keys), tuple(masses[k] for k in keys))
+        keys, values = list(masses), list(masses.values())
+        mass = np.array(values, dtype=float)
+        if not np.isfinite(mass).all():
+            raise ValueError("vocabulary masses must be finite")
+        order = np.argsort(mass, kind="stable")
+        # keys break ties in mass: the keys of tied masses are sorted, then
+        # stably by mass, back into the places their masses hold
+        same = mass[order[1:]] == mass[order[:-1]]
+        places = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+        tied = order[places]
+        tied = tied[sorted(range(len(tied)), key=_take(keys, tied.tolist()).__getitem__)]
+        order[places] = tied[np.argsort(mass[tied], kind="stable")]
+        # (mass, key) order, keys distinct: nothing is left to check
+        picked = order.tolist()
+        return cls._unchecked(_take(keys, picked), _take(values, picked))
+
+
+def _take(items: Sequence, positions: list[int]) -> tuple:
+    """``items[i]`` for every ``i`` of ``positions``, as a tuple."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)(items)
+    return tuple(items[i] for i in positions)
 
 
 @dataclass
@@ -384,18 +448,15 @@ def build_matrix(
         vocab = FeatureVocabulary.from_vectors(vectors)
     if ids is None:
         ids = tuple(str(i) for i in range(len(vectors)))
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for r, vec in enumerate(vectors):
-        for key, count in vec.entries.items():
-            c = vocab.index(key)
-            if c is not None:
-                rows.append(r)
-                cols.append(c)
-                vals.append(float(count))
+    # every vector's keys mapped to columns in one pass
+    entries = [vec.entries for vec in vectors]
+    sizes = list(map(len, entries))
+    cols = vocab.columns(chain.from_iterable(entries), sum(sizes))
+    counts = np.fromiter(chain.from_iterable(map(dict.values, entries)), float, len(cols))
+    rows = np.repeat(np.arange(len(vectors)), sizes)
+    kept = cols >= 0
     X = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(vectors), len(vocab)), dtype=float
+        (counts[kept], (rows[kept], cols[kept])), shape=(len(vectors), len(vocab)), dtype=float
     )
     return DatasetMatrix(X, np.asarray(labels, dtype=int), tuple(ids), vocab)
 
@@ -442,10 +503,48 @@ def save_vocab(stream: TextIO, vocab: FeatureVocabulary) -> None:
 
 
 def load_vocab(stream: TextIO) -> FeatureVocabulary:
+    """Read a vocabulary file written by :func:`save_vocab`.
+
+    The whole text is split at once, and when every line holds three
+    tab-separated fields, the column numbers and masses of all lines are
+    converted together, by the ``int`` and ``float`` text rules, as in
+    :func:`load_sparse`.  Any other text is read one line at a time, which
+    skips blank lines and raises ``ValueError`` at the first faulty line: a
+    malformed one, a column out of sequence or a mass that is not finite.
+    """
+    keys, masses = _vocab_fields(stream.read())
+    vocab = FeatureVocabulary._unchecked(keys, tuple(masses.tolist()))
+    vocab._check(masses)
+    return vocab
+
+
+#: Every byte but tab and newline: deleting them leaves a file's layout.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+
+
+def _vocab_fields(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The keys and masses of a vocabulary file's text."""
+    body = text if text.endswith("\n") or not text else text + "\n"
+    layout = body.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    lines = layout.count(b"\n")
+    if layout == b"\t\t\n" * lines:
+        fields = body.replace("\n", "\t").split("\t")  # three a line, then ""
+        try:
+            cols = np.array(fields[0:-1:3], dtype=np.int64)
+            masses = np.array(fields[2::3], dtype=float)
+        except (ValueError, OverflowError):
+            pass  # the line loop names the line
+        else:
+            if (cols == np.arange(1, lines + 1)).all() and np.isfinite(masses).all():
+                return tuple(fields[1::3]), masses
+    return _vocab_lines(text)
+
+
+def _vocab_lines(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """:func:`_vocab_fields` one line at a time, to report the first fault."""
     keys: list[str] = []
     masses: list[float] = []
-    for lineno, line in enumerate(stream):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(text.split("\n")):
         if not line:
             continue
         fields = line.split("\t")
@@ -456,7 +555,9 @@ def load_vocab(stream: TextIO) -> FeatureVocabulary:
             raise ValueError(f"vocabulary line {lineno + 1} is out of order")
         keys.append(key)
         masses.append(float(mass))
-    return FeatureVocabulary(tuple(keys), tuple(masses))
+        if not math.isfinite(masses[-1]):
+            raise ValueError(f"vocabulary line {lineno + 1} has a mass that is not finite")
+    return tuple(keys), np.array(masses, dtype=float)
 
 
 def load_sparse(

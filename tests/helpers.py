@@ -7,15 +7,18 @@ recomputed by explicit pair counting, so library results can be checked
 against a second route.  The row-by-row kernel definitions
 (:func:`cosine_kernel`, :func:`nspdk_kernel`) and the one-sample net loss
 (:func:`net_loss`) are the oracles of the sparse kernels and of the net
-gradients.  The version-2 scorers are the exception: they reuse the SVM
-solver and the block normalization, and redo only what the model file
-format changed.
+gradients.  The reference file and vocabulary routines are the
+one-item-at-a-time versions of the array-speed ones in ``submol.features``.
+The version-2 scorers are the exception: they reuse the SVM solver and the
+block normalization, and redo only what the model file format changed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+import re
 import warnings
 from typing import Sequence
 
@@ -292,6 +295,126 @@ def reference_save_gram(stream, gram) -> None:
     line = " ".join(["%.17g"] * n) + "\n"
     for row in gram.values:
         stream.write(line % tuple(row.tolist()))
+
+
+# --- Reference vocabulary routines -------------------------------------------
+#
+# The one-key-at-a-time vocabulary routines that the array-speed ones in
+# ``submol.features`` replaced: the line-by-line reader, the block map by a
+# regex match per key, the restriction that checks its keys again and the
+# matrix assembled entry by entry.  They return plain tuples and arrays, so
+# tests compare the library with them field by field.
+
+#: A key's text up to its second "|" (its first when it has one only, all of
+#: it when it has none): :func:`parse_feature_key` reads the key's block from it.
+_BLOCK_PREFIX = re.compile(r"[^|]*(?:\|(?:[^|]*\|)?)?")
+
+
+def reference_check_vocab(keys, masses) -> None:
+    """The (mass, key) order and duplicate checks, one pair at a time."""
+    following = zip(masses[1:], keys[1:])
+    if any(map(operator.gt, zip(masses, keys), following)):
+        raise ValueError("vocabulary keys are not in (mass, key) order")
+    if len(set(keys)) != len(keys):
+        raise ValueError("vocabulary contains duplicate keys")
+
+
+def reference_load_vocab(stream):
+    """(keys, masses) of a vocabulary file, one line at a time."""
+    keys: list[str] = []
+    masses: list[float] = []
+    for lineno, line in enumerate(stream):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"vocabulary line {lineno + 1} is malformed")
+        col, key, mass = fields
+        if int(col) != len(keys) + 1:
+            raise ValueError(f"vocabulary line {lineno + 1} is out of order")
+        keys.append(key)
+        masses.append(float(mass))
+    reference_check_vocab(keys, masses)
+    return tuple(keys), tuple(masses)
+
+
+def reference_block_table(keys):
+    """(block labels, block id of every key), by a regex match per key."""
+    prefixes = [_BLOCK_PREFIX.match(key).group() for key in keys]
+    parsed = {p: parse_feature_key(p) for p in set(prefixes)}
+    labels = sorted(set(parsed.values()))
+    number = {b: i for i, b in enumerate(labels)}
+    return tuple(labels), np.array([number[parsed[p]] for p in prefixes], dtype=np.intp)
+
+
+def reference_restrict(keys, masses, columns):
+    """(keys, masses, block labels, block ids) of ``columns`` of a vocabulary;
+    the kept keys are checked again, the block map renumbered by ``np.unique``."""
+    kept_keys = tuple(keys[i] for i in columns)
+    kept_masses = tuple(masses[i] for i in columns)
+    reference_check_vocab(kept_keys, kept_masses)
+    labels, ids = reference_block_table(keys)
+    blocks, ids = np.unique(ids[np.asarray(columns, dtype=np.intp)], return_inverse=True)
+    return kept_keys, kept_masses, tuple(labels[b] for b in blocks), ids
+
+
+def reference_build_matrix(vectors, keys=None):
+    """(keys, masses, CSR counts) of feature vectors, one entry at a time.
+
+    Without ``keys`` the vocabulary is frozen from the vectors, in (mass,
+    key) order; with them the masses are None and unknown keys are dropped.
+    """
+    masses = None
+    if keys is None:
+        masses = {}
+        for vec in vectors:
+            masses.update(vec.masses)
+        keys = sorted(masses, key=lambda k: (masses[k], k))
+    index = {k: i for i, k in enumerate(keys)}
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for r, vec in enumerate(vectors):
+        for key, count in vec.entries.items():
+            c = index.get(key)
+            if c is not None:
+                rows.append(r)
+                cols.append(c)
+                vals.append(float(count))
+    X = sp.csr_matrix((vals, (rows, cols)), shape=(len(vectors), len(keys)), dtype=float)
+    return tuple(keys), None if masses is None else tuple(masses[k] for k in keys), X
+
+
+def random_vocabulary(rnd: random.Random, n: int):
+    """(keys, masses) of ``n`` random feature keys in (mass, key) order.
+
+    Keys are shaped like drug-target pair vocabularies: no, ``drug:`` or
+    ``target:`` namespace, heights 0-3 (now and then written ``0<h>``), pair
+    keys at distances 0-6 and height keys with a single "|".  Masses come
+    from about n/4 values, so many tie.  Half the seeds put a non-ASCII
+    letter in some signatures.
+    """
+    accent = rnd.choice(["", "\u00e9"])
+    values = [round(rnd.uniform(10.0, 200.0), 3) for _ in range(max(1, n // 4))]
+
+    def signature(h):
+        atoms = "".join(rnd.choice("CNOS" + accent) for _ in range(rnd.randint(1, 4)))
+        return f"@{h};{atoms};"
+
+    masses: dict[str, float] = {}
+    while len(masses) < n:
+        namespace = rnd.choice(["", "drug:", "target:"])
+        h = rnd.randint(0, 3)
+        height = f"0{h}" if rnd.random() < 0.05 else str(h)
+        if rnd.random() < 0.3:
+            key = f"{namespace}{height}|{signature(h)}"
+        else:
+            d = rnd.randint(0, 6)
+            key = f"{namespace}{height}|{d}|{signature(h)}|{signature(h)}"
+        masses[key] = rnd.choice(values)
+    keys = sorted(masses, key=lambda k: (masses[k], k))
+    return tuple(keys), tuple(masses[k] for k in keys)
 
 
 def molblock(symbols, bonds, charges=None):

@@ -720,6 +720,69 @@ def test_non_finite_count_is_exit_3(nitro_file, tmp_path, capsys, count):
         assert "input error: feature counts must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+def test_non_finite_vocabulary_mass_is_exit_3(nitro_file, tmp_path, capsys, mass):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0-1")
+    with open(vocab, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    col, key, _ = lines[-1].split("\t")
+    lines[-1] = "\t".join([col, key, mass])  # the last line: the order still holds
+    with open(vocab, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["gram", "--features", features, "--vocab", vocab, "--kernel", "nspdk",
+                 "--out", str(tmp_path / "gram.txt")]) == 3
+    err = capsys.readouterr().err
+    assert f"input error: vocabulary line {len(lines)} has a mass that is not finite" in err
+
+
+def test_each_command_reads_and_builds_its_matrix_once(nitro_file, tmp_path, monkeypatch):
+    # bench/spans.py times these three names on submol.cli, so each command
+    # must do its loading and matrix building through them
+    calls = {}
+    for name in ("load_vocab", "load_sparse", "build_matrix"):
+        def counting(*args, _name=name, _call=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+
+    def counted(argv):
+        calls.clear()
+        assert main(argv) == 0, argv[0]
+        return dict(calls)
+
+    features, vocab = str(tmp_path / "f.txt"), str(tmp_path / "v.txt")
+    assert counted(["featurize", "--input", nitro_file, "--format", "smiles",
+                    "--heights", "0-1", "--out-features", features,
+                    "--out-vocab", vocab]) == {"build_matrix": 1}
+    data = ["--features", features, "--vocab", vocab]
+    model = str(tmp_path / "model.json")
+    once = {"load_vocab": 1, "load_sparse": 1}
+    assert counted(["gram", *data, "--kernel", "nspdk", "--out", str(tmp_path / "g.txt")]) == once
+    assert counted(["evaluate", *data, "--algo", "rf", "--trees", "2", "--protocol", "kfold:3",
+                    "--out-metrics", str(tmp_path / "m.csv"),
+                    "--out-summary", str(tmp_path / "s.json")]) == once
+    assert counted(["train", *data, "--algo", "rf", "--trees", "2", "--model-out", model]) == once
+    assert counted(["report", "--model", model, *data, "--out", str(tmp_path / "roc.csv")]) == once
+
+
+def test_load_vocab_keeps_nothing_between_calls(tmp_path):
+    # two files of the same width and masses, with other keys and blocks
+    files = {
+        "a": ("1\t0|a\t1.0\n2\t1|2|a|b\t2.0\n", ("0|a", "1|2|a|b"), [0, 1]),
+        "b": ("1\t2|b\t1.0\n2\t0|b\t2.0\n", ("2|b", "0|b"), [1, 0]),
+    }
+    for name, (text, _, _) in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name in ("a", "b", "a"):
+        _, keys, blocks = files[name]
+        with open(tmp_path / name, encoding="utf-8") as handle:
+            vocab = load_vocab(handle)
+        assert vocab.keys == keys
+        assert [vocab.index(key) for key in keys] == [0, 1]
+        assert vocab.block_ids().tolist() == blocks
+
+
 def train_kernelized_svm(out_dir):
     """An nspdk SVM on the interaction pairs: (model, features, vocab) paths."""
     features = os.path.join(out_dir, "features.txt")

@@ -5,6 +5,7 @@ conservation test checks the defining identity of neighborhood counting
 (every node roots exactly one subgraph per height).
 """
 
+import hashlib
 import io
 import itertools
 import random
@@ -16,7 +17,12 @@ from helpers import (
     molblock,
     random_labeled_graph,
     random_molecule_smiles,
+    random_vocabulary,
+    reference_block_table,
+    reference_build_matrix,
     reference_load_sparse,
+    reference_load_vocab,
+    reference_restrict,
     reference_save_sparse,
 )
 
@@ -484,8 +490,134 @@ def test_vocab_round_trip():
     assert loaded.masses == vocab.masses
 
 
+# Vocabulary files the line-by-line reader (tests/helpers.reference_load_vocab)
+# accepts, with the keys and masses it reads from them.
+ACCEPTED_VOCAB_FILES = [
+    ("1\t0|a\t1.0\n\n2\t0|b\t2.0\n", ("0|a", "0|b"), (1.0, 2.0)),
+    ("1\t0|a\t1.0\r\n2\t0|b\t2.0\r\n", ("0|a", "0|b"), (1.0, 2.0)),
+    ("1\t0|a\t1.0\n2\t0|b\t2.0", ("0|a", "0|b"), (1.0, 2.0)),
+    ("+1\t0|a\t1.0\n02\t0|b\t2.0\n 3\t0|c\t3.0\n", ("0|a", "0|b", "0|c"), (1.0, 2.0, 3.0)),
+    ("1\t0|a\t1_0\n", ("0|a",), (10.0,)),
+    ("1\t0|b\t1.0\n2\t0|a\t2.0\n", ("0|b", "0|a"), (1.0, 2.0)),
+    ("", (), ()),
+    ("\n\n", (), ()),
+]
+
+# Malformed vocabulary files and the ValueError message each raises, as
+# recorded from the line-by-line reader: the first faulty line is reported.
+MALFORMED_VOCAB_FILES = [
+    ("1\tkey-without-mass\n", "vocabulary line 1 is malformed"),
+    ("1\t0|a\t1.0\tx\n", "vocabulary line 1 is malformed"),
+    ("1\t0|a\t1.0\n \n", "vocabulary line 2 is malformed"),
+    ("1\t0|a\t1.0\t2\n0|b\t2.0\n", "vocabulary line 1 is malformed"),
+    ("x\t0|a\t1.0\n", "invalid literal for int() with base 10: 'x'"),
+    ("1.0\t0|a\t1.0\n", "invalid literal for int() with base 10: '1.0'"),
+    ("1\t0|a\t1.0\n\t\t\n", "invalid literal for int() with base 10: ''"),
+    ("2\t0|a\t1.0\n", "vocabulary line 1 is out of order"),
+    ("1\t0|a\t1.0\n\n3\t0|b\t2.0\n", "vocabulary line 3 is out of order"),
+    ("99999999999999999999\t0|a\t1.0\n", "vocabulary line 1 is out of order"),
+    ("1\t0|a\tabc\n", "could not convert string to float: 'abc'"),
+    ("1\t0|b\t2.0\n2\t0|a\t1.0\n", "vocabulary keys are not in (mass, key) order"),
+    ("1\t0|b\t1.0\n2\t0|a\t1.0\n", "vocabulary keys are not in (mass, key) order"),
+    ("1\t0|a\t1.0\n2\t0|a\t1.0\n", "vocabulary contains duplicate keys"),
+    ("1\t0|a\t1.0\n2\t0|b\t2.0\n3\t0|a\t3.0\n", "vocabulary contains duplicate keys"),
+    ("1\t0|a\n2\t0|b\tabc\n", "vocabulary line 1 is malformed"),
+    ("1\t0|a\tabc\n2\t0|b\n", "could not convert string to float: 'abc'"),
+    ("1\t0|b\t2.0\n3\t0|a\t1.0\n", "vocabulary line 2 is out of order"),
+]
+
+
+def test_load_vocab_accepts():
+    for text, keys, masses in ACCEPTED_VOCAB_FILES:
+        loaded = load_vocab(io.StringIO(text))
+        assert (loaded.keys, loaded.masses) == (keys, masses), text
+        assert reference_load_vocab(io.StringIO(text)) == (keys, masses), text
+
+
 def test_load_vocab_rejects_malformed():
-    with pytest.raises(ValueError, match="malformed"):
-        load_vocab(io.StringIO("1\tkey-without-mass\n"))
-    with pytest.raises(ValueError, match="out of order"):
-        load_vocab(io.StringIO("2\t0|a\t1.0\n"))
+    for text, message in MALFORMED_VOCAB_FILES:
+        for load in (load_vocab, reference_load_vocab):
+            with pytest.raises(ValueError) as caught:
+                load(io.StringIO(text))
+            assert (type(caught.value), str(caught.value)) == (ValueError, message), text
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf", "-inf", "1e400"])
+def test_load_vocab_rejects_non_finite_masses(mass):
+    text = f"1\t0|a\t1.0\n2\t0|b\t{mass}\n3\t0|c\t3.0\n"
+    with pytest.raises(ValueError, match="^vocabulary line 2 has a mass that is not finite$"):
+        load_vocab(io.StringIO(text))
+
+
+@pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf")])
+def test_vocabulary_rejects_non_finite_masses(mass):
+    with pytest.raises(ValueError, match="masses must be finite"):
+        FeatureVocabulary(("0|a", "0|b"), (1.0, mass))
+    with pytest.raises(ValueError, match="masses must be finite"):
+        FeatureVocabulary.from_vectors([FeatureVector({"0|a": 1}, {"0|a": mass})])
+
+
+def test_vocabulary_keys_and_masses_must_align():
+    for masses in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError, match="must align"):
+            FeatureVocabulary(("0|a", "0|b"), masses)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_vocabularies_match_the_one_key_at_a_time_routines(seed):
+    rnd = random.Random(seed)
+    keys, masses = random_vocabulary(rnd, rnd.randint(1, 400))
+    out = io.StringIO()
+    save_vocab(out, FeatureVocabulary(keys, masses))
+    vocab = load_vocab(io.StringIO(out.getvalue()))
+    assert (vocab.keys, vocab.masses) == reference_load_vocab(io.StringIO(out.getvalue()))
+    assert (vocab.keys, vocab.masses) == (keys, masses)
+    labels, ids = reference_block_table(keys)
+    assert vocab._block_table()[0] == labels
+    assert np.array_equal(vocab.block_ids(), ids)
+    assert vocab.sha256() == hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+    for size in (0, 1, len(keys) // 2, len(keys)):
+        columns = np.array(sorted(rnd.sample(range(len(keys)), size)), dtype=np.intp)
+        restricted = vocab.restrict(columns)
+        kept_keys, kept_masses, kept_labels, kept_ids = reference_restrict(keys, masses, columns)
+        assert (restricted.keys, restricted.masses) == (kept_keys, kept_masses)
+        assert restricted._block_table()[0] == kept_labels
+        assert np.array_equal(restricted.block_ids(), kept_ids)
+
+
+def _assert_same_csr(X, Y):
+    assert X.shape == Y.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(X, part), getattr(Y, part)), part
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_matrix_matches_the_entry_loop(seed):
+    rnd = random.Random(seed)
+    keys, masses = random_vocabulary(rnd, 300)
+    mass_of = dict(zip(keys, masses))
+    vectors = []
+    for _ in range(rnd.randint(2, 30)):
+        chosen = rnd.sample(keys, rnd.randint(0, 40))
+        vectors.append(FeatureVector(
+            {k: rnd.randint(1, 5) for k in chosen}, {k: mass_of[k] for k in chosen}
+        ))
+    vectors[0].add(keys[0], masses[0])  # at least one key
+    labels = [rnd.choice((1, -1)) for _ in vectors]
+    data = build_matrix(vectors, labels)
+    ref_keys, ref_masses, X = reference_build_matrix(vectors)
+    assert (data.vocab.keys, data.vocab.masses) == (ref_keys, ref_masses)
+    _assert_same_csr(data.X, X)
+    # a vocabulary frozen from the first vectors lacks keys of the others
+    half = (len(vectors) + 1) // 2
+    train = build_matrix(vectors[:half], labels[:half])
+    held = build_matrix(vectors[half:], labels[half:], vocab=train.vocab)
+    _, _, X = reference_build_matrix(vectors[half:], train.vocab.keys)
+    _assert_same_csr(held.X, X)
+
+
+@pytest.mark.parametrize("columns", [[1, 0], [0, 0], [-1], [3], [0, 3]])
+def test_restrict_needs_ascending_columns_of_the_vocabulary(columns):
+    vocab = FeatureVocabulary(("0|a", "0|b", "0|c"), (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        vocab.restrict(np.array(columns))
