@@ -8,7 +8,8 @@ features -> ROC curve).
 
 Options may come from a JSON config file (``--config``); explicit flags win
 over the file, which wins over built-in defaults.  Exit codes: 0 success,
-2 bad configuration, 3 input parse failure, 4 training failure.
+2 bad configuration (a model trained on another vocabulary included), 3
+input parse failure, 4 training failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .features import (
 from .forest import ForestConfig
 from .graph import ParseError, parse_sdf, parse_smiles
 from .ingest import IngestError, Resolver, featurize_pairs, label_records, load_pairs
-from .kernels import KernelError, KernelizedModel, gram_matrix, save_gram
+from .kernels import KernelError, gram_matrix, save_gram
 from .neural import NetConfig
 from .persist import load_model, save_model
 from .protocol import (
@@ -366,7 +367,7 @@ def cmd_train(args) -> int:
     data = _load_features(args.features, args.vocab)
     model, _ = fit(data, pipeline, args.seed, pipeline.threads)
     with open(args.model_out, "w", encoding="utf-8") as handle:
-        save_model(handle, model)
+        save_model(handle, (model, data.vocab.sha256()))
     print(f"trained {args.algo} on {len(data)} rows, {data.X.shape[1]} features")
     print(f"model: {args.model_out}")
     return 0
@@ -421,12 +422,10 @@ def cmd_ttest(args) -> int:
 def cmd_report(args) -> int:
     data = _load_features(args.features, args.vocab)
     with open(args.model, encoding="utf-8") as handle:
-        model = load_model(handle)
-    if isinstance(model, KernelizedModel) and model.vocab_sha256 not in (
-        None, data.vocab.sha256()
-    ):
+        model, trained_on = load_model(handle)
+    if trained_on != data.vocab.sha256():
         raise ConfigError(
-            f"the model was trained on vocabulary sha256 {model.vocab_sha256}, "
+            f"the model was trained on vocabulary sha256 {trained_on}, "
             f"but --vocab has sha256 {data.vocab.sha256()}"
         )
     scores = model.score_rows(data.X)

@@ -12,7 +12,6 @@ live in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence, TextIO
@@ -21,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 
-from .features import DatasetMatrix, FeatureVocabulary
+from .features import DatasetMatrix
 
 
 class ZeroRowWarning(UserWarning):
@@ -120,18 +119,14 @@ def kernel_feature_rows(train, rows, block_ids: np.ndarray | None = None) -> np.
 class KernelizedModel:
     """A model trained on similarity columns against a fixed basis set.
 
-    Keeps the basis rows (CSR), for nspdk each basis column's block, the
-    fingerprint of the basis columns' vocabulary and the inner model, so new
-    feature rows are first mapped to kernel similarities and then scored.
-    ``vocab`` is that vocabulary, or only its sha256 once loaded from a
-    file: fitting a model does not pay for a fingerprint that only saving
-    and checking read.
+    Keeps the basis rows (CSR), for nspdk each basis column's block, and the
+    inner model, so new feature rows are first mapped to kernel similarities
+    and then scored.
     """
 
     kernel: str
     basis: sp.csr_matrix
     block_ids: NDArray[np.intp] | None  # nspdk only
-    vocab: FeatureVocabulary | str | None
     inner: Any
 
     def __post_init__(self):
@@ -153,20 +148,10 @@ class KernelizedModel:
                 "block_ids must give each basis column's block (nspdk only), "
                 "numbered from 0 with none skipped"
             )
-        vocab = self.vocab
-        if not (vocab is None or isinstance(vocab, FeatureVocabulary)
-                or isinstance(vocab, str) and re.fullmatch("[0-9a-f]{64}", vocab)):
-            raise ValueError("vocab_sha256 must be 64 lowercase hex digits or null")
 
     @property
     def threshold(self) -> float:
         return self.inner.threshold
-
-    @property
-    def vocab_sha256(self) -> str | None:
-        if isinstance(self.vocab, FeatureVocabulary):
-            return self.vocab.sha256()
-        return self.vocab
 
     def score_rows(self, X) -> np.ndarray:
         if not sp.issparse(X):

@@ -1,14 +1,16 @@
 """Self-describing model files.
 
-Models serialize to a versioned JSON container whose payload is the model's
-dataclass fields: nested dataclasses become objects, arrays become nested
-lists, and a CSR matrix becomes ``{shape, indptr, indices, data}``.
+A model file is a versioned JSON container that names the model's kind,
+holds its payload and records the sha256 of the vocabulary whose columns
+the model was trained on, so ``report`` can refuse rows of another
+vocabulary whatever the kind.  The payload is the model's dataclass fields:
+nested dataclasses become objects, arrays become nested lists, a CSR matrix
+becomes ``{shape, indptr, indices, data}``, and a model held in a field
+(annotated ``Any``) becomes ``{kind, payload}`` like the file itself.
 Loading rebuilds every field from its annotation, so a field added to or
-dropped from a model changes its files with no edit here.  The one
-exception is the kernelized model, whose payload holds its basis matrix,
-its basis columns' blocks and vocabulary fingerprint, and its inner model's
-whole document.  All floats go through Python's shortest round-trip repr, so
-save -> load -> save reproduces the file byte for byte.
+dropped from a model changes its files with no edit here.  All floats go
+through Python's shortest round-trip repr, so save -> load -> save
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
 import types
 import typing
 from typing import Any, TextIO
@@ -29,39 +32,48 @@ from .neural import NetModel
 from .svm import SvmModel
 
 FORMAT = "submol-model"
-VERSION = 3
+VERSION = 4
 
-_MODELS = {"forest": ForestModel, "net": NetModel, "svm": SvmModel}
-
-#: Fields stored under another key: (class, field name) -> file key.
-_FILE_KEYS = {(NetModel, "kind"): "net_kind"}
+_MODELS = {"forest": ForestModel, "kernelized": KernelizedModel, "net": NetModel, "svm": SvmModel}
 
 
 @functools.cache
-def _fields(cls) -> dict[str, tuple[str, Any]]:
-    """File key -> (field name, resolved annotation) for a dataclass."""
+def _fields(cls) -> dict[str, Any]:
+    """Field name -> resolved annotation for a dataclass."""
     hints = typing.get_type_hints(cls)
-    return {
-        _FILE_KEYS.get((cls, f.name), f.name): (f.name, hints[f.name])
-        for f in dataclasses.fields(cls)
-    }
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _encode(value):
+def _numbers(values: np.ndarray) -> list:
+    """Stored CSR values as JSON numbers: integers when every value is a
+    whole number below 2**53 in magnitude, which read back as the same
+    floats (``-0.0`` keeps its float text), else floats."""
+    if np.all(np.abs(values) < 2.0**53):
+        whole = values.astype(np.int64)
+        if np.array_equal(whole.astype(float).view(np.uint64), values.view(np.uint64)):
+            return whole.tolist()
+    return values.tolist()
+
+
+def _encode(tp, value):
+    """The JSON form of a value of annotated type ``tp``."""
+    if tp is Any:  # a model held in a field
+        return _model_doc(value)
     if dataclasses.is_dataclass(value):
-        fields = _fields(type(value))
-        return {key: _encode(getattr(value, name)) for key, (name, _) in fields.items()}
+        return {name: _encode(hint, getattr(value, name))
+                for name, hint in _fields(type(value)).items()}
     if sp.issparse(value):
         return {
             "shape": list(value.shape),
             "indptr": value.indptr.tolist(),
             "indices": value.indices.tolist(),
-            "data": value.data.tolist(),
+            "data": _numbers(value.data),
         }
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, list):
-        return [_encode(item) for item in value]
+        item = typing.get_args(tp)[0]
+        return [_encode(item, v) for v in value]
     return value
 
 
@@ -96,6 +108,8 @@ def _csr(value) -> sp.csr_matrix:
 def _decode(tp, value):
     """Rebuild a value of annotated type ``tp`` from its JSON form."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is Any:  # a model held in a field
+        return _model(value)
     if dataclasses.is_dataclass(tp):
         fields = _fields(tp)
         if not isinstance(value, dict):
@@ -104,7 +118,7 @@ def _decode(tp, value):
             missing = sorted(fields.keys() - value.keys())
             unknown = sorted(value.keys() - fields.keys())
             raise ValueError(f"{tp.__name__} missing keys {missing}, unknown keys {unknown}")
-        return tp(**{name: _decode(hint, value[key]) for key, (name, hint) in fields.items()})
+        return tp(**{name: _decode(hint, value[name]) for name, hint in fields.items()})
     if tp is sp.csr_matrix:
         return _csr(value)
     if origin is np.ndarray:  # NDArray[dtype]
@@ -118,65 +132,59 @@ def _decode(tp, value):
     return value
 
 
-_KERNELIZED_KEYS = {"kernel", "basis", "block_ids", "vocab_sha256", "inner"}
+def _model_doc(model) -> dict[str, Any]:
+    """``{kind, payload}`` of a model."""
+    kind = next((k for k, cls in _MODELS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    return {"kind": kind, "payload": _encode(type(model), model)}
 
 
-def model_to_dict(model) -> dict[str, Any]:
-    if isinstance(model, KernelizedModel):
-        kind = "kernelized"
-        payload = {
-            "kernel": model.kernel,
-            "basis": _encode(model.basis),
-            "block_ids": _encode(model.block_ids),
-            "vocab_sha256": model.vocab_sha256,
-            "inner": model_to_dict(model.inner),
-        }
-    else:
-        kind = next((k for k, cls in _MODELS.items() if isinstance(model, cls)), None)
-        if kind is None:
-            raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-        payload = _encode(model)
-    return {"format": FORMAT, "version": VERSION, "kind": kind, "payload": payload}
-
-
-def model_from_dict(doc):
-    """Rebuild a model; a malformed document raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise ValueError("not a model file")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported model file version {doc.get('version')!r}")
+def _model(doc):
+    """A model from its ``{kind, payload}``; a malformed one raises ValueError."""
+    if not isinstance(doc, dict):
+        raise TypeError("a model must be an object")
     kind = doc.get("kind")
-    if kind not in (*_MODELS, "kernelized"):
+    if not (isinstance(kind, str) and kind in _MODELS):
         raise ValueError(f"unknown model kind {kind!r}")
     try:
-        payload = doc["payload"]
-        if kind != "kernelized":
-            return _decode(_MODELS[kind], payload)
-        if not isinstance(payload, dict) or payload.keys() != _KERNELIZED_KEYS:
-            raise ValueError(f"payload must be an object with keys {sorted(_KERNELIZED_KEYS)}")
-        block_ids = payload["block_ids"]
-        return KernelizedModel(
-            payload["kernel"],
-            _csr(payload["basis"]),
-            None if block_ids is None else _array(block_ids, np.intp),
-            payload["vocab_sha256"],
-            model_from_dict(payload["inner"]),
-        )
+        return _decode(_MODELS[kind], doc["payload"])
     except KeyError as exc:
         raise ValueError(f"malformed {kind} model: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} model: {exc}") from exc
 
 
-def save_model(stream: TextIO, model) -> None:
-    """Write the model as one line of JSON.
+def model_to_dict(saved) -> dict[str, Any]:
+    """The file document of ``(model, vocab_sha256)``."""
+    model, vocab_sha256 = saved
+    return {"format": FORMAT, "version": VERSION, "vocab_sha256": vocab_sha256,
+            **_model_doc(model)}
+
+
+def model_from_dict(doc):
+    """``(model, vocab_sha256)`` of a file document; a malformed one raises
+    ValueError."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise ValueError("not a model file")
+    if doc.get("version") != VERSION:
+        raise ValueError(f"unsupported model file version {doc.get('version')!r}")
+    vocab_sha256 = doc.get("vocab_sha256")
+    if not (isinstance(vocab_sha256, str) and re.fullmatch("[0-9a-f]{64}", vocab_sha256)):
+        raise ValueError("vocab_sha256 must be 64 lowercase hex digits")
+    return _model(doc), vocab_sha256
+
+
+def save_model(stream: TextIO, saved) -> None:
+    """Write ``(model, vocab_sha256)`` as one line of JSON.
 
     ``json.dumps`` encodes the whole document in C; ``json.dump`` never
     does, and writes it piece by piece from Python.
     """
-    stream.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
+    stream.write(json.dumps(model_to_dict(saved), sort_keys=True, separators=(",", ":")))
     stream.write("\n")
 
 
 def load_model(stream: TextIO):
+    """``(model, vocab_sha256)`` from a model file."""
     return model_from_dict(json.load(stream))

@@ -179,7 +179,7 @@ def fit(train: DatasetMatrix, pipeline: PipelineSpec, seed: int, threads: int):
     _, trainer = ALGORITHMS[pipeline.algorithm]
     model = trainer(seen, pipeline.algo_config, seed, threads)
     if pipeline.kernel != "none":
-        model = KernelizedModel(pipeline.kernel, train.X, block_ids, train.vocab, model)
+        model = KernelizedModel(pipeline.kernel, train.X, block_ids, model)
     return model, seen
 
 

@@ -288,7 +288,7 @@ PINNED_ARTIFACTS = {
             "features": "e56628b4b2afa8b2609c5a8fe02007aaea8334dd9fedb705c0095dd891d8c140",
             "vocab": "69d758b33e013a574a3bdeeb9a9b3089e21f1638cf6948cb5ef92438f0877fd0",
             "gram": "c645556982976295f504f499d5a21ec4b6cea38cecfa4853c688da6c1d8a75f0",
-            "model": "7b35ec12a42c6ae4b04fb3304f760b4d4d8b5b533566111fe40c191f4e37e315",
+            "model": "e961df078c3fee7e8fa79e96d20044d235af3f7f10e174fab9c3437a420f0bb1",
             "roc": "1d1e32970ebdfb3198eb6876ae2669f80f17c7188824fb1d8f98db87a3a82d45",
         },
     ),
@@ -300,7 +300,7 @@ PINNED_ARTIFACTS = {
             "features": "116c94ea775189cadb59c1c6a029578e3dbbb18e37afdb747d03ff3ef5672324",
             "vocab": "086030234d9efd3b4cfe8647aa99741781b712b07364a5f327360735da750a7e",
             "gram": "09b509040d6c8952db2a64c3c73fa54d4f319ea5165bdb95129f43377db274c7",
-            "model": "9c56d05f69351d2cb0600c99876d9d51ddced5c8bc7cd84c376ca7a06b0d5cdb",
+            "model": "e05c3c2bbd68151c51032c0cd036fc9fde742e736693b1a7348b38b15f4135a4",
             "roc": "ca1abcab5c50b6d363ef7c456fb1be556470ff1aff69ca3749e44d75d913becb",
         },
     ),
@@ -633,6 +633,11 @@ def _with_config_field(doc):
     return doc
 
 
+def _without_fingerprint(doc):
+    del doc["vocab_sha256"]
+    return doc
+
+
 def _with_tree_key(doc):
     doc["payload"]["trees"][0]["bootstrap"] = [0, 1]  # version 1 stored the draw
     return doc
@@ -645,9 +650,14 @@ def _with_tree_key(doc):
     (_with_config_field, "malformed forest model"),
     (lambda doc: {**doc, "version": 1}, "unsupported model file version 1"),
     (lambda doc: {**doc, "version": 2}, "unsupported model file version 2"),
+    (lambda doc: {**doc, "version": 3}, "unsupported model file version 3"),
+    (_without_fingerprint, "vocab_sha256 must be 64 lowercase hex digits"),
+    (lambda doc: {**doc, "vocab_sha256": doc["vocab_sha256"][:-1] + "g"},
+     "vocab_sha256 must be 64 lowercase hex digits"),
     (_with_tree_key, "tree 0 must be an object whose one key is nodes"),
 ], ids=["not-an-object", "empty-payload", "svm-config-only", "unknown-config-field",
-        "version-1", "version-2", "tree-extra-key"])
+        "version-1", "version-2", "version-3", "no-fingerprint", "fingerprint-not-hex",
+        "tree-extra-key"])
 def test_malformed_model_is_exit_3(smiles_file, tmp_path, capsys, malform, named):
     model, features, vocab = train_small_forest(smiles_file, str(tmp_path))
     with open(model, encoding="utf-8") as handle:
@@ -796,21 +806,55 @@ def train_kernelized_svm(out_dir):
     return model, features, vocab
 
 
-def test_report_with_another_vocabulary_of_the_same_width_is_exit_2(tmp_path, capsys):
-    model, features, vocab = train_kernelized_svm(str(tmp_path))
-    lines = open(vocab, encoding="utf-8").read().splitlines()
+#: Training flags for one model of each kind, on the raw counts or a kernel.
+MODEL_KINDS = {
+    "rf": ["--algo", "rf", "--trees", "4"],
+    "svm": ["--algo", "svm"],
+    "mlp": ["--algo", "mlp", "--epochs", "20"],
+    "pnet": ["--algo", "pnet", "--epochs", "20"],
+    "svm-nspdk": ["--algo", "svm", "--kernel", "nspdk"],
+}
+
+
+def train_on_bursi(out_dir, fit_flags):
+    """A model of ``fit_flags`` on the mini Bursi corpus: (model, features, vocab)."""
+    features = os.path.join(out_dir, "features.txt")
+    vocab = os.path.join(out_dir, "vocab.txt")
+    assert main(["featurize", "--input", os.path.join(DATA, "bursi_mini.sdf"),
+                 "--format", "sdf", "--label-key", "Ames", "--positive-value", "mutagen",
+                 "--heights", "0-2", "--out-features", features, "--out-vocab", vocab]) == 0
+    model = os.path.join(out_dir, "model.json")
+    assert main(["train", "--features", features, "--vocab", vocab, *fit_flags,
+                 "--model-out", model]) == 0
+    return model, features, vocab
+
+
+def _renamed_last_key(lines):
     col, key, mass = lines[-1].split("\t")
-    lines[-1] = "\t".join([col, key + "x", mass])  # still in (mass, key) order
-    renamed = str(tmp_path / "renamed.txt")
-    with open(renamed, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return lines[:-1] + ["\t".join([col, key + "x", mass])]  # still in (mass, key) order
+
+
+def _one_more_key(lines):
+    col, key, mass = lines[-1].split("\t")
+    return lines + ["\t".join([str(int(col) + 1), key + "x", mass])]
+
+
+@pytest.mark.parametrize("edit", [_renamed_last_key, _one_more_key],
+                         ids=["same-width", "wider"])
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_report_with_another_vocabulary_is_exit_2(tmp_path, capsys, kind, edit):
+    model, features, vocab = train_on_bursi(str(tmp_path), MODEL_KINDS[kind])
+    lines = open(vocab, encoding="utf-8").read().splitlines()
+    other = str(tmp_path / "other.txt")
+    with open(other, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(edit(lines)) + "\n")
     data = ["--model", model, "--features", features, "--out", str(tmp_path / "roc.csv")]
     assert main(["report", *data, "--vocab", vocab]) == 0
     capsys.readouterr()
-    assert main(["report", *data, "--vocab", renamed]) == 2
+    assert main(["report", *data, "--vocab", other]) == 2
     err = capsys.readouterr().err
-    stored = json.load(open(model, encoding="utf-8"))["payload"]["vocab_sha256"]
-    with open(renamed, encoding="utf-8") as handle:
+    stored = json.load(open(model, encoding="utf-8"))["vocab_sha256"]
+    with open(other, encoding="utf-8") as handle:
         given = load_vocab(handle).sha256()
     assert "configuration error" in err and stored in err and given in err
 

@@ -254,7 +254,7 @@ def test_kernels_do_not_densify(monkeypatch):
     inner = train_forest(
         DatasetMatrix(rows, data.y, data.ids, None), ForestConfig(trees=4), seed=2
     )
-    model = KernelizedModel("cosine", data.X, None, data.vocab, inner)
+    model = KernelizedModel("cosine", data.X, None, inner)
     expected_scores = inner.score_rows(rows)
     monkeypatch.setattr(DatasetMatrix, "dense", _refuse)
     monkeypatch.setattr(kernels, "scoring_rows", _refuse, raising=False)
