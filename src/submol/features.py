@@ -65,9 +65,11 @@ Neighborhood = tuple[str, str, float]
 
 
 def _signature_table(
-    graph: MolecularGraph, heights: Sequence[int], memo: dict[str, Neighborhood]
-) -> dict[int, list[Neighborhood]]:
-    """Every root's neighborhood at each of the ascending ``heights``.
+    graph: MolecularGraph, heights: Sequence[int], memo: dict[str, Neighborhood],
+    distances: Sequence[int],
+) -> tuple[dict[int, list[Neighborhood]], dict[int, list[tuple[int, int]]]]:
+    """Every root's neighborhood at each of the ascending ``heights``, and
+    the node pairs at each of the ascending ``distances``.
 
     Each root's ball is grown once, level by level, in breadth-first order:
     the root is member 0, and each level's new members follow in the order
@@ -75,6 +77,11 @@ def _signature_table(
     edges to earlier members come from its adjacency, in ascending local
     order.  The subgraph of height ``h`` is then the first members and the
     first edges of the ball, so every height is cut from one ball.
+
+    A level-``d`` member is ``d`` hops from the root, so the ball, grown to
+    the largest distance, also gives the pairs: each positive ``d`` maps to
+    the ``(root, b)`` with ``b > root`` on level ``d`` of root's ball.  Past
+    the top height no text is made, and a ball stops at its first empty level.
 
     ``memo`` maps the subgraph as cut, the text ``"<h>;<tokens>;<edges>"``,
     to its :data:`Neighborhood`.  Each member's node token, in member
@@ -91,6 +98,7 @@ def _signature_table(
     masses = [atom.mass() for atom in graph.nodes]
     adjacency = [graph.neighbors(v) for v in range(len(graph))]
     table: dict[int, list[Neighborhood]] = {h: [] for h in heights}
+    pairs_at: dict[int, list[tuple[int, int]]] = {d: [] for d in distances if d > 0}
     top = heights[-1]
     for root in range(len(graph)):
         members = [root]
@@ -99,7 +107,7 @@ def _signature_table(
         token_text = tokens[root] + ","
         edge_text = ""
         level = 0  # local index of the last level's first member
-        for h in range(top + 1):
+        for h in range(max(top, distances[-1]) + 1):
             if h:
                 start = len(members)
                 for u in members[level:start]:
@@ -108,6 +116,13 @@ def _signature_table(
                             local[v] = len(members)
                             members.append(v)
                 level = start
+                pairs = pairs_at.get(h)
+                if pairs is not None:
+                    pairs.extend([(root, b) for b in members[start:] if b > root])
+                if h > top:
+                    if start == len(members):
+                        break
+                    continue
                 for k in range(start, len(members)):
                     v = members[k]
                     token_text += tokens[v] + ","
@@ -133,7 +148,7 @@ def _signature_table(
                 mass = subgraph_mass([masses[v] for v in members])
                 entry = memo[memo_key] = (f"{h}|{key}", key, mass)
             cut.append(entry)
-    return table
+    return table, pairs_at
 
 
 def height_features(
@@ -151,14 +166,7 @@ def height_features(
     subgraph once.  Without it each call uses a fresh dict, so no key
     outlives the call.
     """
-    hs = sorted(set(int(h) for h in heights))
-    if not hs or hs[0] < 0:
-        raise ValueError("heights must be a nonempty set of nonnegative integers")
-    vector = FeatureVector()
-    for entries in _signature_table(graph, hs, {} if memo is None else memo).values():
-        for feature_key, _key, mass in entries:
-            vector.add(feature_key, mass)
-    return vector
+    return pair_features(graph, heights, (0,), memo=memo)
 
 
 def pair_features(
@@ -175,7 +183,9 @@ def pair_features(
     positive distances each unordered node pair at that shortest-path
     distance contributes one count; the two signature keys are ordered
     lexicographically inside the feature key, and the key's mass is the sum
-    of the two subgraph masses.  ``memo`` is shared as in
+    of the two subgraph masses.  The pairs are read off the same
+    breadth-first balls as the signatures (see :func:`_signature_table`),
+    so no all-pairs distance table is built.  ``memo`` is shared as in
     :func:`height_features`.
     """
     hs = sorted(set(int(h) for h in heights))
@@ -185,14 +195,7 @@ def pair_features(
     if not ds or ds[0] < 0:
         raise ValueError("distances must be a nonempty set of nonnegative integers")
     vector = FeatureVector()
-    table = _signature_table(graph, hs, {} if memo is None else memo)
-    # node pairs (a < b, in row-major order) grouped by their distance
-    pairs_at: dict[int, list[tuple[int, int]]] = {d: [] for d in ds if d > 0}
-    for a, row in enumerate(graph.distances().tolist()):
-        for b in range(a + 1, len(row)):
-            pairs = pairs_at.get(row[b])
-            if pairs is not None:
-                pairs.append((a, b))
+    table, pairs_at = _signature_table(graph, hs, {} if memo is None else memo, ds)
     for d in ds:
         if d == 0:
             for entries in table.values():

@@ -86,10 +86,7 @@ def _by_row(X) -> sp.csr_matrix:
         X = sp.csr_matrix(X, dtype=float, copy=True)
         X.sum_duplicates()  # also sorts each row's columns
         return X
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    nonzero = X != 0
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(nonzero, axis=1))))
-    return sp.csr_matrix((X[nonzero], np.nonzero(nonzero)[1], indptr), X.shape)
+    return sp.csr_matrix(np.atleast_2d(X), dtype=float)
 
 
 class _Columns(NamedTuple):

@@ -70,11 +70,10 @@ class MolecularGraph:
     """An immutable labeled undirected graph with bond orders on edges.
 
     Edges are stored as ``(i, j, order)`` with ``i < j``.  Self loops and
-    duplicate edges are rejected.  ``distances()`` returns (and caches) the
-    all-pairs hop-count table as a read-only array.
+    duplicate edges are rejected.
     """
 
-    __slots__ = ("nodes", "edges", "name", "_adjacency", "_distances")
+    __slots__ = ("nodes", "edges", "name", "_adjacency")
 
     def __init__(
         self,
@@ -107,7 +106,6 @@ class MolecularGraph:
             adjacency[a].append((b, order))
             adjacency[b].append((a, order))
         self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        self._distances: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -116,23 +114,13 @@ class MolecularGraph:
         """Neighbors of node ``i`` as ``(node, bond order)`` pairs."""
         return self._adjacency[i]
 
-    def distances(self) -> np.ndarray:
-        """All-pairs shortest-path hop counts; unreachable pairs are inf.
-
-        The table is computed once and shared, so it is read-only.
-        """
-        if self._distances is None:
-            dist = all_pairs_distances(self)
-            dist.setflags(write=False)
-            self._distances = dist
-        return self._distances
-
 
 def all_pairs_distances(graph: MolecularGraph) -> np.ndarray:
     """Breadth-first hop counts between every node pair.
 
-    Returns an ``n x n`` float array; unreachable pairs hold ``inf`` and the
-    diagonal is zero.
+    Returns a fresh ``n x n`` float array; unreachable pairs hold ``inf``
+    and the diagonal is zero.  Featurization never calls it: the tests take
+    it as their distance reference, and ``bench/spans.py`` patches its name.
     """
     n = len(graph)
     rows = []

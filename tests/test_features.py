@@ -5,10 +5,12 @@ conservation test checks the defining identity of neighborhood counting
 (every node roots exactly one subgraph per height).
 """
 
+import collections
 import hashlib
 import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +42,14 @@ from submol.features import (
     save_sparse,
     save_vocab,
 )
-from submol.graph import parse_sdf, parse_smiles
+from submol.graph import (
+    AtomNode,
+    MolecularGraph,
+    all_pairs_distances,
+    parse_sdf,
+    parse_smiles,
+    protein_to_chain_graph,
+)
 from submol.signatures import (
     MAX_SUBGRAPH_NODES,
     SubgraphTooLargeError,
@@ -131,7 +140,7 @@ def test_pair_keys_are_lexicographically_ordered():
 
 def test_pair_count_totals_match_distance_histogram():
     graph = parse_smiles("C1CC1C")  # methylcyclopropane
-    dist = graph.distances()
+    dist = all_pairs_distances(graph)
     n = len(graph)
     for d in (1, 2):
         expected = sum(
@@ -139,6 +148,41 @@ def test_pair_count_totals_match_distance_histogram():
         )
         vec = pair_features(graph, [1], [d])
         assert vec.total() == expected
+
+
+def test_long_chain_pairs_need_no_quadratic_memory():
+    # 1,000 residues at distances up to 5: each root's ball holds 11 nodes,
+    # so pair mode must stay far below an n x n distance table (8 MB)
+    rnd = random.Random(3)
+    graph = protein_to_chain_graph("".join(rnd.choice("ACDEGKLMWY") for _ in range(1000)))
+    heights, distances = [0, 1, 2], [0, 1, 2, 3, 4, 5]
+    tracemalloc.start()
+    try:
+        vec = pair_features(graph, heights, distances)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    totals = collections.Counter()
+    for key, count in vec.entries.items():
+        _, h, d = parse_feature_key(key)
+        totals[h, d] += count
+    assert totals == {(h, d): 1000 - d for h in heights for d in distances}
+
+
+def test_pairs_never_cross_fragments():
+    # two fragments, C-C and O-N: only the pairs inside a fragment count
+    nodes = [AtomNode("C", 3), AtomNode("C", 3), AtomNode("O", 1), AtomNode("N", 2)]
+    graph = MolecularGraph(nodes, [(0, 1, 1), (2, 3, 1)])
+    vec = pair_features(graph, [0], [1, 2, 3])
+    assert vec.entries == {"0|1|@0;CH3;|@0;CH3;": 1, "0|1|@0;NH2;|@0;OH1;": 1}
+
+
+def test_distance_past_the_graph_stops_at_its_last_level():
+    # a ball stops growing at its first empty level, so a huge distance
+    # costs no more than the graph's own diameter
+    vec = pair_features(parse_smiles("CC"), [0], [0, 10**9])
+    assert vec.entries == height_features(parse_smiles("CC"), [0]).entries == {"0|@0;CH3;": 2}
 
 
 def test_pair_features_validation():
@@ -165,7 +209,7 @@ def reference_features(graph, heights, distances):
         for h in heights
     }
     vector = FeatureVector()
-    dist = graph.distances()
+    dist = all_pairs_distances(graph)
     for d in distances or [0]:
         for h, sigs in table.items():
             if d == 0:

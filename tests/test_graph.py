@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from helpers import molblock
 
-from submol.features import height_features, pair_features
+from submol.features import height_features
 from submol.graph import (
     AROMATIC_BOND,
     AtomNode,
@@ -272,19 +272,19 @@ def test_graph_rejects_bad_edges():
 
 
 def test_butane_path_distances():
-    dist = parse_smiles("CCCC").distances()
+    dist = all_pairs_distances(parse_smiles("CCCC"))
     assert dist[0].tolist() == [0.0, 1.0, 2.0, 3.0]
     assert dist[3].tolist() == [3.0, 2.0, 1.0, 0.0]
 
 
 def test_cyclopropane_distances_all_one():
-    dist = parse_smiles("C1CC1").distances()
+    dist = all_pairs_distances(parse_smiles("C1CC1"))
     off_diagonal = dist[~np.eye(3, dtype=bool)]
     assert set(off_diagonal.tolist()) == {1.0}
 
 
 def test_benzene_antipodal_distance():
-    dist = parse_smiles("c1ccccc1").distances()
+    dist = all_pairs_distances(parse_smiles("c1ccccc1"))
     assert dist[0, 3] == 3.0
     assert dist[0, 1] == 1.0
     assert dist[0, 5] == 1.0
@@ -306,28 +306,19 @@ def test_distances_match_dijkstra_free_bfs_oracle():
             for i in range(n):
                 for j in range(n):
                     ref[i, j] = min(ref[i, j], ref[i, k] + ref[k, j])
+        dist = all_pairs_distances(graph)
+        assert np.array_equal(dist, ref)
+        # each call hands out a fresh, writable table
+        assert dist.flags.writeable
+        dist[...] = 7
         assert np.array_equal(all_pairs_distances(graph), ref)
-
-
-def test_cached_distances_are_read_only():
-    # the table is cached and shared, so a write through one caller would
-    # change the pair features every later caller computes
-    graph = parse_smiles("CCCC")
-    before = pair_features(graph, [0], [1]).entries
-    with pytest.raises(ValueError, match="read-only"):
-        graph.distances()[0, 1] = 7
-    assert graph.distances()[0, 1] == 1.0
-    assert pair_features(graph, [0], [1]).entries == before
-    assert sum(before.values()) == 3
-    # the function itself still hands out a fresh, writable table
-    assert all_pairs_distances(graph).flags.writeable
 
 
 def test_disconnected_sdf_distances_are_infinite():
     # two heavy fragments in one molblock stay disconnected
     nodes = [AtomNode("C"), AtomNode("C"), AtomNode("O")]
     graph = MolecularGraph(nodes, [(0, 1, 1)])
-    dist = graph.distances()
+    dist = all_pairs_distances(graph)
     assert math.isinf(dist[0, 2])
     assert dist[0, 1] == 1.0
 

@@ -16,8 +16,15 @@ from helpers import permuted_graph, random_labeled_graph, root_preserving_isomor
 from submol import graph as graph_module
 from submol import signatures
 from submol.elements import ATOMIC_MASSES, RESIDUE_MASSES
-from submol.features import height_features
-from submol.graph import AtomNode, MolecularGraph, all_pairs_distances, parse_smiles
+from submol.features import height_features, pair_features
+from submol.graph import (
+    AtomNode,
+    MolecularGraph,
+    all_pairs_distances,
+    parse_smiles,
+    protein_to_chain_graph,
+)
+from submol.ingest import InteractionPair, featurize_pair
 from submol.signatures import (
     MAX_SUBGRAPH_NODES,
     RootedSubgraph,
@@ -357,13 +364,35 @@ def test_neighborhood_matches_distance_table():
                 assert neighborhood_subgraph(graph, root, height) == expected
 
 
-def test_height_features_build_no_distance_table(monkeypatch):
+ASPIRIN = "CC(=O)Oc1ccccc1C(=O)O"
+
+
+def _featurize_drug_and_protein():
+    pair = InteractionPair(
+        "aspirin", "peptide", parse_smiles(ASPIRIN),
+        protein_to_chain_graph("MKVWKYLL"), "protein", 1,
+    )
+    return featurize_pair(pair, [0, 1, 2], range(6))
+
+
+@pytest.mark.parametrize(
+    "featurize, total",
+    [
+        (lambda: height_features(parse_smiles(ASPIRIN), [0, 1, 2, 3]), 4 * 13),
+        # 3 heights x (13 roots + the 13, 17, 16, 15, 11 pairs at 1-5 hops)
+        (lambda: pair_features(parse_smiles(ASPIRIN), [0, 1, 2], range(6)),
+         3 * (13 + 13 + 17 + 16 + 15 + 11)),
+        # and the peptide's 8 roots and 7, 6, 5, 4, 3 pairs, 3 heights each
+        (_featurize_drug_and_protein, 3 * (13 + 13 + 17 + 16 + 15 + 11) + 3 * (8 + 7 + 6 + 5 + 4 + 3)),
+    ],
+    ids=["height_features", "pair_features", "featurize_pair"],
+)
+def test_height_features_build_no_distance_table(monkeypatch, featurize, total):
     def refuse(graph):
-        raise AssertionError("height mode asked for all-pairs distances")
+        raise AssertionError("featurization asked for all-pairs distances")
 
     monkeypatch.setattr(graph_module, "all_pairs_distances", refuse)
-    vector = height_features(parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), [0, 1, 2, 3])
-    assert vector.total() == 4 * 13
+    assert featurize().total() == total
 
 
 def test_neighborhood_argument_validation():
