@@ -9,13 +9,8 @@ each key.  Two molecules share a feature exactly when they contain the same
 rooted neighborhood shape, regardless of atom numbering.
 """
 
-from submol import (
-    canonical_signature,
-    height_features,
-    neighborhood_subgraph,
-    pair_features,
-    parse_smiles,
-)
+from submol import height_features, pair_features, parse_smiles
+from submol.features import signature_table
 
 
 def show(title):
@@ -41,14 +36,18 @@ def main():
 
     show("2. One rooted neighborhood, growing with the height bound")
     root = 1  # the carboxyl carbon
-    for height in (0, 1, 2):
-        sub = neighborhood_subgraph(graph, root, height)
-        sig = canonical_signature(sub)
-        print(f"  height {height}: {len(sub.nodes)} atoms, "
-              f"mass {sig.mass:8.3f}, key {sig.key}")
-    print("The key encodes the root position, sorted atom tokens and the")
-    print("edge list of the canonical form, so it is the same for every")
-    print("isomorphic copy of this neighborhood.")
+    # what featurization computes: every root's (feature key, canonical
+    # key, mass) at each height, with each height cut from one ball
+    table, _ = signature_table(graph, [0, 1, 2], {}, [0])
+    for height, entries in table.items():
+        feature_key, key, mass = entries[root]
+        print(f"  height {height}, mass {mass:.3f}")
+        print(f"    feature key    {feature_key}")
+        print(f"    canonical key  {key}")
+    print("The canonical key encodes the root position, the atom tokens and")
+    print("the edge list of the canonical form, so it is the same for every")
+    print("isomorphic copy of this neighborhood; the feature key prefixes")
+    print("the height.")
 
     show("3. The molecule's feature vector (heights 0 and 1)")
     vector = height_features(graph, [0, 1])

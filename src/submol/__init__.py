@@ -2,7 +2,9 @@
 features, kernels, from-scratch learners and an evaluation protocol.
 
 The usual flow: parse molecules (:func:`parse_smiles`, :func:`parse_sdf`,
-:func:`protein_to_chain_graph`), extract count features
+:func:`protein_to_chain_graph`, or :func:`load_pairs` for interaction
+pairs, whose blank structures a :class:`Resolver` reads from a read-only
+cache directory), extract count features
 (:func:`height_features`, :func:`pair_features`), assemble a
 :class:`DatasetMatrix`, then train (:func:`fit` for a :class:`PipelineSpec`,
 or :func:`train_forest`, :func:`train_mlp`, :func:`train_partitioned_net`,
@@ -20,7 +22,6 @@ from .evaluate import (
     kfold_indices,
     roc_points,
     shuffle_split_indices,
-    summarize,
     welch_t,
 )
 from .features import (
@@ -56,7 +57,6 @@ from .ingest import (
     featurize_pair,
     featurize_pairs,
     label_records,
-    load_bursi,
     load_pairs,
 )
 from .kernels import (
@@ -67,7 +67,6 @@ from .kernels import (
     gram_matrix,
     kernel_block_ids,
     kernel_feature_rows,
-    load_gram,
     save_gram,
 )
 from .neural import (
@@ -91,9 +90,7 @@ from .protocol import (
     write_summary_json,
 )
 from .signatures import (
-    Signature,
     SubgraphTooLargeError,
-    canonical_signature,
     neighborhood_subgraph,
 )
 from .svm import SvmConfig, SvmModel, train_svm
@@ -126,7 +123,6 @@ __all__ = [
     "RESIDUE_MASSES",
     "ResolutionError",
     "Resolver",
-    "Signature",
     "SkippedRecord",
     "StructureRecord",
     "SubgraphTooLargeError",
@@ -138,7 +134,6 @@ __all__ = [
     "accuracy",
     "auroc",
     "build_matrix",
-    "canonical_signature",
     "featurize_pair",
     "featurize_pairs",
     "fit",
@@ -148,8 +143,6 @@ __all__ = [
     "kernel_feature_rows",
     "kfold_indices",
     "label_records",
-    "load_bursi",
-    "load_gram",
     "load_model",
     "load_pairs",
     "load_sparse",
@@ -170,7 +163,6 @@ __all__ = [
     "save_vocab",
     "sequence_from_fasta",
     "shuffle_split_indices",
-    "summarize",
     "train_forest",
     "train_mlp",
     "train_partitioned_net",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -250,8 +249,3 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         if abs(delta - 1.0) < 1e-15:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def summarize(name: str, values: Iterable[float]) -> MetricSample:
-    """Convenience constructor accepting any float iterable."""
-    return MetricSample(name, tuple(float(v) for v in values))

@@ -44,9 +44,6 @@ class FeatureVector:
         self.entries[key] = self.entries.get(key, 0) + count
         self.masses[key] = mass
 
-    def total(self) -> int:
-        return sum(self.entries.values())
-
 
 def parse_feature_key(key: str) -> tuple[str, int, int]:
     """Split a feature key into (namespace, height, distance)."""
@@ -64,7 +61,7 @@ def parse_feature_key(key: str) -> tuple[str, int, int]:
 Neighborhood = tuple[str, str, float]
 
 
-def _signature_table(
+def signature_table(
     graph: MolecularGraph, heights: Sequence[int], memo: dict[str, Neighborhood],
     distances: Sequence[int],
 ) -> tuple[dict[int, list[Neighborhood]], dict[int, list[tuple[int, int]]]]:
@@ -161,7 +158,7 @@ def height_features(
 
     At every height the counts over all signatures sum to the node count:
     each node roots exactly one neighborhood.  ``memo`` holds the
-    neighborhoods canonicalized so far (see :func:`_signature_table`); pass
+    neighborhoods canonicalized so far (see :func:`signature_table`); pass
     one dict to every molecule of a run to canonicalize each distinct
     subgraph once.  Without it each call uses a fresh dict, so no key
     outlives the call.
@@ -184,7 +181,7 @@ def pair_features(
     distance contributes one count; the two signature keys are ordered
     lexicographically inside the feature key, and the key's mass is the sum
     of the two subgraph masses.  The pairs are read off the same
-    breadth-first balls as the signatures (see :func:`_signature_table`),
+    breadth-first balls as the signatures (see :func:`signature_table`),
     so no all-pairs distance table is built.  ``memo`` is shared as in
     :func:`height_features`.
     """
@@ -195,7 +192,7 @@ def pair_features(
     if not ds or ds[0] < 0:
         raise ValueError("distances must be a nonempty set of nonnegative integers")
     vector = FeatureVector()
-    table, pairs_at = _signature_table(graph, hs, {} if memo is None else memo, ds)
+    table, pairs_at = signature_table(graph, hs, {} if memo is None else memo, ds)
     for d in ds:
         if d == 0:
             for entries in table.values():

@@ -1,10 +1,8 @@
 """Dataset assembly: labeled molecule sets, interaction pairs, resolution.
 
-Structure lookups are offline first: a directory cache maps an identifier to
-a four-line record (kind, name, structure, source).  A fetch hook may be
-plugged in to fill cache misses from a live service; a fetched record whose
-reported name does not match the query (case-insensitively, after collapsing
-whitespace) is rejected rather than trusted, and nothing is cached for it.
+Structure lookups are offline: a read-only directory cache maps an
+identifier to a four-line record (kind, name, structure, source).  Nothing
+in submol writes the cache, and an identifier outside it is a miss.
 """
 
 from __future__ import annotations
@@ -12,13 +10,12 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TextIO
-from urllib.parse import quote, unquote
+from typing import Iterable, TextIO
+from urllib.parse import quote
 
 from .features import FeatureVector, Neighborhood, height_features, pair_features
-from .graph import MolecularGraph, parse_sdf, parse_smiles, protein_to_chain_graph
+from .graph import MolecularGraph, parse_smiles, protein_to_chain_graph
 
 KIND_SMALL_MOLECULE = "small-molecule"
 KIND_PROTEIN = "protein"
@@ -51,45 +48,22 @@ class StructureRecord:
         return graph
 
 
-@dataclass(frozen=True)
-class FetchResult:
-    """What a fetch hook reports back for a query."""
-
-    name: str
-    structure: str
-    source: str
-
-
-def _normalize_name(name: str) -> str:
-    return re.sub(r"\s+", " ", name.strip()).casefold()
-
-
 class Resolver:
-    """Identifier-to-structure resolution backed by a directory cache.
+    """Identifier-to-structure lookup in a read-only directory cache.
 
-    Without a fetch hook the resolver is fully offline and a cache miss is
-    final.  With one, misses are fetched, name-checked against the query and
-    then cached; cached records are never overwritten.
+    Identifier ``ident`` lives in ``<quote(ident, safe="")>.rec``, four
+    lines: kind, name, structure, source.  The directory must exist.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | os.PathLike,
-        fetch_hook: Callable[[str, str | None], FetchResult | None] | None = None,
-    ):
+    def __init__(self, cache_dir: str | os.PathLike):
         self.cache_dir = str(cache_dir)
-        self.fetch_hook = fetch_hook
-        os.makedirs(self.cache_dir, exist_ok=True)
+        if not os.path.isdir(self.cache_dir):
+            raise FileNotFoundError(
+                f"structure cache {self.cache_dir!r} is not a directory"
+            )
 
     def _path(self, ident: str) -> str:
         return os.path.join(self.cache_dir, quote(ident, safe="") + ".rec")
-
-    def cached_ids(self) -> list[str]:
-        out = []
-        for entry in sorted(os.listdir(self.cache_dir)):
-            if entry.endswith(".rec"):
-                out.append(unquote(entry[: -len(".rec")]))
-        return out
 
     def _read(self, ident: str) -> StructureRecord | None:
         path = self._path(ident)
@@ -104,51 +78,22 @@ class Resolver:
             raise ResolutionError(f"{ident}: cache record has unknown kind {kind!r}")
         return StructureRecord(ident, kind, name, structure, source)
 
-    def _write(self, record: StructureRecord) -> None:
-        path = self._path(record.ident)
-        if os.path.exists(path):
-            return
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(
-                f"{record.kind}\n{record.name}\n{record.structure}\n{record.source}\n"
-            )
-        os.replace(tmp, path)
-
     def resolve(self, ident: str, kind: str | None = None) -> StructureRecord:
-        """Resolve one identifier, preferring the cache.
+        """The cached record of one identifier.
 
         ``kind`` (when given) must match the record's kind.  Raises
-        :class:`ResolutionError` on a miss without a hook, on a fetch
-        failure, on a name mismatch, or on a kind mismatch.
+        :class:`ResolutionError` on a miss, a malformed record or a kind
+        mismatch.
         """
         if kind is not None and kind not in KINDS:
             raise ValueError(f"unknown structure kind {kind!r}")
         record = self._read(ident)
-        if record is not None:
-            if kind is not None and record.kind != kind:
-                raise ResolutionError(
-                    f"{ident}: cached record is a {record.kind}, wanted {kind}"
-                )
-            return record
-        if self.fetch_hook is None:
-            raise ResolutionError(f"{ident}: not in cache and fetching is disabled")
-        try:
-            result = self.fetch_hook(ident, kind)
-        except Exception as exc:
-            raise ResolutionError(f"{ident}: fetch failed: {exc}") from exc
-        if result is None:
-            raise ResolutionError(f"{ident}: no structure found")
-        if _normalize_name(result.name) != _normalize_name(ident):
+        if record is None:
+            raise ResolutionError(f"{ident}: not in cache")
+        if kind is not None and record.kind != kind:
             raise ResolutionError(
-                f"{ident}: fetched record is named {result.name!r}, not trusting it"
+                f"{ident}: cached record is a {record.kind}, wanted {kind}"
             )
-        record = StructureRecord(
-            ident, kind or KIND_SMALL_MOLECULE, result.name, result.structure,
-            result.source,
-        )
-        record.to_graph()  # validate the structure before caching it
-        self._write(record)
         return record
 
 
@@ -162,14 +107,6 @@ class LabeledGraphs:
     graphs: list[MolecularGraph]
     labels: list[int]
     skipped: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def positives(self) -> int:
-        return sum(1 for y in self.labels if y == 1)
-
-    @property
-    def negatives(self) -> int:
-        return sum(1 for y in self.labels if y == -1)
 
 
 def label_records(
@@ -200,20 +137,6 @@ def label_records(
     return out
 
 
-def load_bursi(
-    source: TextIO | str, label_key: str, positive_value: str
-) -> LabeledGraphs:
-    """Load an SDF where a data item carries the class label.
-
-    Labels and skips follow :func:`label_records`; an entirely unusable file
-    raises :class:`IngestError`.
-    """
-    out = label_records(parse_sdf(source), label_key, positive_value)
-    if not out.graphs:
-        raise IngestError("no usable records in the structure-data file")
-    return out
-
-
 # --- Interaction pairs -----------------------------------------------------
 
 
@@ -231,14 +154,6 @@ class InteractionPair:
 class PairDataset:
     pairs: list[InteractionPair]
     dropped: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def positives(self) -> int:
-        return sum(1 for p in self.pairs if p.label == 1)
-
-    @property
-    def negatives(self) -> int:
-        return sum(1 for p in self.pairs if p.label == -1)
 
 
 def _graph_for(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Sequence, TextIO
+from typing import Any, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,20 +198,3 @@ def save_gram(stream: TextIO, gram: GramMatrix) -> None:
         texts = (" ".join(["%.17g"] * len(bits)) % tuple(bits.view(float).tolist())).split(" ")
         words = np.array(texts, dtype=object)[cell.reshape(block.shape)]
         stream.write("".join(" ".join(row) + "\n" for row in words.tolist()))
-
-
-def load_gram(stream: TextIO, ids: Sequence[str] | None = None) -> GramMatrix:
-    header = stream.readline()
-    try:
-        n = int(header)
-    except ValueError:
-        raise ValueError("gram file must start with the row count") from None
-    values = np.empty((n, n))
-    for r in range(n):
-        fields = stream.readline().split()
-        if len(fields) != n:
-            raise ValueError(f"gram row {r + 1} has {len(fields)} entries, wanted {n}")
-        values[r] = [float(f) for f in fields]
-    if ids is None:
-        ids = tuple(str(i) for i in range(n))
-    return GramMatrix(values, tuple(ids))

@@ -64,15 +64,6 @@ class RootedSubgraph:
     height: int
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Canonical identity of a rooted subgraph."""
-
-    key: str
-    height: int
-    mass: float
-
-
 def _refine(
     colors: list[int],
     classes: int,
@@ -254,13 +245,6 @@ def neighborhood_subgraph(
     )
     nodes = tuple(graph.nodes[v] for v in members)
     return RootedSubgraph(nodes, edges, local[root], height)
-
-
-def canonical_signature(sub: RootedSubgraph) -> Signature:
-    """Signature (canonical key, height, mass) of a rooted subgraph."""
-    labels = [node_token(a) for a in sub.nodes]
-    key = canonical_key(labels, sub.edges, sub.root)
-    return Signature(key, sub.height, subgraph_mass([a.mass() for a in sub.nodes]))
 
 
 def subgraph_mass(masses: list[float]) -> float:

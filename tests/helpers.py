@@ -4,7 +4,9 @@ Everything here is deliberately independent of the library's own algorithms:
 molecule strings are emitted from a simple valence-tracking grammar, graph
 isomorphism is decided by exhaustive permutation, and ranking metrics are
 recomputed by explicit pair counting, so library results can be checked
-against a second route.  The row-by-row kernel definitions
+against a second route.  :func:`signature_of` keys a subgraph cut in graph
+order, not in featurization's breadth-first order; it is the key step of the
+features oracle.  The row-by-row kernel definitions
 (:func:`cosine_kernel`, :func:`nspdk_kernel`) and the one-sample net loss
 (:func:`net_loss`) are the oracles of the sparse kernels and of the net
 gradients.  The reference file and vocabulary routines are the
@@ -28,6 +30,7 @@ import scipy.sparse as sp
 from submol import kernels, svm
 from submol.features import parse_feature_key
 from submol.graph import AtomNode, MolecularGraph
+from submol.signatures import RootedSubgraph, canonical_key, node_token, subgraph_mass
 from submol.kernels import KernelError, ZeroRowWarning
 from submol.neural import NetParams, net_forward
 
@@ -181,6 +184,12 @@ def root_preserving_isomorphic(
         if mapped == target:
             return True
     return False
+
+
+def signature_of(sub: RootedSubgraph) -> tuple[str, float]:
+    """Canonical key and mass of a rooted subgraph, cut in graph order."""
+    key = canonical_key([node_token(a) for a in sub.nodes], sub.edges, sub.root)
+    return key, subgraph_mass([a.mass() for a in sub.nodes])
 
 
 def auroc_by_pair_counting(scores, labels) -> float:

@@ -25,8 +25,8 @@ from submol.features import (
     pair_features,
 )
 from submol.forest import ForestConfig
-from submol.graph import parse_smiles
-from submol.ingest import featurize_pairs, load_bursi, load_pairs
+from submol.graph import parse_sdf, parse_smiles
+from submol.ingest import featurize_pairs, label_records, load_pairs
 from submol.kernels import ZeroRowWarning, gram_matrix
 from submol.neural import (
     MLP_HIDDEN,
@@ -86,7 +86,7 @@ def test_criterion_01_mutagenicity_benchmark(capsys):
     positive = os.environ.get("SUBMOL_BURSI_POSITIVE", "mutagen")
     with criterion(capsys, 1, "mutagenicity benchmark run") as info:
         with open(path, encoding="utf-8", errors="replace") as handle:
-            loaded = load_bursi(handle, label_key, positive)
+            loaded = label_records(parse_sdf(handle), label_key, positive)
         vectors = [height_features(g, [1]) for g in loaded.graphs]
         data = build_matrix(vectors, loaded.labels)
         result = run_protocol(

@@ -187,6 +187,65 @@ def test_featurize_pairs(tmp_path, capsys):
     assert any("\ttarget:" in line for line in vocab_lines)
 
 
+def featurize_pair_csv(tmp_path, text, *flags):
+    """Run ``featurize --format pairs`` on a CSV; the exit code and the
+    feature and vocabulary bytes (None where not written)."""
+    path = tmp_path / "pairs.csv"
+    path.write_text(text, encoding="utf-8")
+    features, vocab = tmp_path / "f.txt", tmp_path / "v.txt"
+    for out in (features, vocab):
+        out.unlink(missing_ok=True)
+    code = main([
+        "featurize", "--input", str(path), "--format", "pairs", "--heights", "0-1",
+        "--out-features", str(features), "--out-vocab", str(vocab), *flags,
+    ])
+    return code, *(out.read_bytes() if out.exists() else None for out in (features, vocab))
+
+
+def test_featurize_pairs_resolves_blank_structures_from_the_cache_dir(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "d1.rec").write_text("small-molecule\nd1\nCCO\nhand\n", encoding="utf-8")
+    (cache / "t%2F1.rec").write_text("protein\nt/1\nMKWVT\nhand\n", encoding="utf-8")
+    resolved = featurize_pair_csv(
+        tmp_path,
+        "id_a,smiles_a,id_b,seq_b,label\n"
+        "d1,,t/1,,+1\n"
+        "d2,CC,t/1,,-1\n"
+        "d9,,t/1,,-1\n",
+        "--cache-dir", str(cache),
+    )
+    captured = capsys.readouterr()
+    assert resolved[0] == 0, captured.err
+    assert "molecules: 2" in captured.out
+    assert "dropping pair row 2: d9: not in cache" in captured.err
+    assert sorted(os.listdir(cache)) == ["d1.rec", "t%2F1.rec"]
+    # the same rows with their structures inline give the same files
+    inline = featurize_pair_csv(
+        tmp_path,
+        "id_a,smiles_a,id_b,seq_b,label\n"
+        "d1,CCO,t/1,MKWVT,+1\n"
+        "d2,CC,t/1,MKWVT,-1\n",
+    )
+    assert inline == resolved
+
+
+def test_missing_cache_dir_is_exit_3_and_not_created(tmp_path, capsys):
+    typo = tmp_path / "typo"
+    code, features, _ = featurize_pair_csv(
+        tmp_path,
+        "id_a,smiles_a,id_b,seq_b,label\n"
+        "d1,CCO,t1,MKWVT,+1\n"
+        "d2,CC,t2,GLY,-1\n",
+        "--cache-dir", str(typo),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and str(typo) in err
+    assert not typo.exists()
+    assert features is None
+
+
 def test_svm_trains_on_raw_pair_counts_at_defaults(tmp_path, capsys):
     features = str(tmp_path / "f.txt")
     vocab = str(tmp_path / "v.txt")

@@ -26,7 +26,6 @@ from submol.evaluate import (
     roc_points,
     shuffle_split_indices,
     student_t_two_sided_p,
-    summarize,
     welch_t,
 )
 
@@ -213,7 +212,6 @@ def test_metric_sample_single_value():
 def test_metric_sample_needs_values():
     with pytest.raises(ValueError, match="at least one"):
         MetricSample("auroc", ())
-    assert summarize("x", [1, 2]).values == (1.0, 2.0)
 
 
 # --- Welch t-test -----------------------------------------------------------
@@ -225,7 +223,9 @@ def test_welch_matches_scipy():
         na, nb = int(rnd.integers(2, 40)), int(rnd.integers(2, 40))
         a = rnd.normal(0.0, 1.0, size=na)
         b = rnd.normal(rnd.uniform(-1, 1), rnd.uniform(0.5, 2.0), size=nb)
-        ours = welch_t(summarize("a", a), summarize("b", b))
+        ours = welch_t(
+            MetricSample("a", tuple(a.tolist())), MetricSample("b", tuple(b.tolist()))
+        )
         ref = scipy.stats.ttest_ind(a, b, equal_var=False)
         assert ours.t == pytest.approx(ref.statistic, abs=1e-10, rel=1e-10)
         assert ours.p == pytest.approx(ref.pvalue, abs=1e-10)
@@ -233,8 +233,8 @@ def test_welch_matches_scipy():
 
 
 def test_welch_degrees_of_freedom_formula():
-    a = summarize("a", [0.80, 0.82, 0.84, 0.86])
-    b = summarize("b", [0.70, 0.75, 0.72])
+    a = MetricSample("a", (0.80, 0.82, 0.84, 0.86))
+    b = MetricSample("b", (0.70, 0.75, 0.72))
     result = welch_t(a, b)
     va, vb = np.var(a.values, ddof=1), np.var(b.values, ddof=1)
     se2 = va / 4 + vb / 3
@@ -245,8 +245,8 @@ def test_welch_degrees_of_freedom_formula():
 
 
 def test_welch_is_antisymmetric():
-    a = summarize("a", [1.0, 2.0, 3.0])
-    b = summarize("b", [2.0, 2.5, 4.0])
+    a = MetricSample("a", (1.0, 2.0, 3.0))
+    b = MetricSample("b", (2.0, 2.5, 4.0))
     ab, ba = welch_t(a, b), welch_t(b, a)
     assert ab.t == pytest.approx(-ba.t, abs=1e-12)
     assert ab.p == pytest.approx(ba.p, abs=1e-12)
@@ -254,7 +254,7 @@ def test_welch_is_antisymmetric():
 
 
 def test_welch_zero_variance_equal_means():
-    result = welch_t(summarize("a", [0.5, 0.5]), summarize("b", [0.5, 0.5]))
+    result = welch_t(MetricSample("a", (0.5, 0.5)), MetricSample("b", (0.5, 0.5)))
     assert result.t == 0.0
     assert math.isnan(result.df)
     assert result.p == 1.0
@@ -262,28 +262,28 @@ def test_welch_zero_variance_equal_means():
 
 
 def test_welch_zero_variance_different_means():
-    result = welch_t(summarize("a", [0.9, 0.9]), summarize("b", [0.5, 0.5]))
+    result = welch_t(MetricSample("a", (0.9, 0.9)), MetricSample("b", (0.5, 0.5)))
     assert result.t == math.inf
     assert result.p == 0.0
     assert result.significant
-    down = welch_t(summarize("a", [0.1, 0.1]), summarize("b", [0.5, 0.5]))
+    down = welch_t(MetricSample("a", (0.1, 0.1)), MetricSample("b", (0.5, 0.5)))
     assert down.t == -math.inf
     assert down.significant
 
 
 def test_welch_needs_two_trials_each():
     with pytest.raises(ValueError, match="two trials"):
-        welch_t(summarize("a", [1.0]), summarize("b", [1.0, 2.0]))
+        welch_t(MetricSample("a", (1.0,)), MetricSample("b", (1.0, 2.0)))
 
 
 def test_welch_significance_uses_alpha():
     # clearly separated tight samples: significant at 0.05
-    a = summarize("a", [0.90, 0.91, 0.92, 0.91])
-    b = summarize("b", [0.70, 0.71, 0.72, 0.71])
+    a = MetricSample("a", (0.90, 0.91, 0.92, 0.91))
+    b = MetricSample("b", (0.70, 0.71, 0.72, 0.71))
     assert welch_t(a, b).significant
     # nearly identical wide samples: not significant
-    c = summarize("c", [0.5, 0.9, 0.6, 0.8])
-    d = summarize("d", [0.6, 0.8, 0.5, 0.9])
+    c = MetricSample("c", (0.5, 0.9, 0.6, 0.8))
+    d = MetricSample("d", (0.6, 0.8, 0.5, 0.9))
     assert not welch_t(c, d).significant
 
 

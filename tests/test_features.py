@@ -26,6 +26,7 @@ from helpers import (
     reference_load_vocab,
     reference_restrict,
     reference_save_sparse,
+    signature_of,
 )
 
 from submol import features
@@ -53,7 +54,6 @@ from submol.graph import (
 from submol.signatures import (
     MAX_SUBGRAPH_NODES,
     SubgraphTooLargeError,
-    canonical_signature,
     neighborhood_subgraph,
 )
 
@@ -64,7 +64,7 @@ from submol.signatures import (
 def test_propane_height_zero_counts():
     vec = height_features(parse_smiles("CCC"), [0])
     assert vec.entries == {"0|@0;CH3;": 2, "0|@0;CH2;": 1}
-    assert vec.total() == 3
+    assert sum(vec.entries.values()) == 3
 
 
 def test_methane_heights_zero_and_one_coincide():
@@ -147,7 +147,7 @@ def test_pair_count_totals_match_distance_histogram():
             1 for a in range(n) for b in range(a + 1, n) if dist[a, b] == d
         )
         vec = pair_features(graph, [1], [d])
-        assert vec.total() == expected
+        assert sum(vec.entries.values()) == expected
 
 
 def test_long_chain_pairs_need_no_quadratic_memory():
@@ -202,10 +202,7 @@ def reference_features(graph, heights, distances):
     """Height (``distances`` None) or pair features, one signature per
     (root, height) from its own neighborhood subgraph, with no memo."""
     table = {
-        h: [
-            canonical_signature(neighborhood_subgraph(graph, a, h))
-            for a in range(len(graph))
-        ]
+        h: [signature_of(neighborhood_subgraph(graph, a, h)) for a in range(len(graph))]
         for h in heights
     }
     vector = FeatureVector()
@@ -213,13 +210,14 @@ def reference_features(graph, heights, distances):
     for d in distances or [0]:
         for h, sigs in table.items():
             if d == 0:
-                for sig in sigs:
-                    vector.add(f"{h}|{sig.key}", sig.mass)
+                for key, mass in sigs:
+                    vector.add(f"{h}|{key}", mass)
                 continue
             for a, b in itertools.combinations(range(len(graph)), 2):
                 if dist[a, b] == d:
-                    ka, kb = sorted((sigs[a].key, sigs[b].key))
-                    vector.add(f"{h}|{d}|{ka}|{kb}", sigs[a].mass + sigs[b].mass)
+                    (key_a, mass_a), (key_b, mass_b) = sigs[a], sigs[b]
+                    ka, kb = sorted((key_a, key_b))
+                    vector.add(f"{h}|{d}|{ka}|{kb}", mass_a + mass_b)
     return vector
 
 
@@ -387,7 +385,7 @@ def test_build_matrix_with_frozen_vocab_drops_unseen():
     data = build_matrix([held_out], [-1], vocab=train.vocab)
     assert data.X.shape[1] == len(train.vocab)
     kept = data.X.toarray()[0].sum()
-    assert kept < held_out.total()  # unseen keys were dropped, not added
+    assert kept < sum(held_out.entries.values())  # unseen keys were dropped, not added
 
 
 def test_build_matrix_validation():

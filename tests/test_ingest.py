@@ -1,14 +1,14 @@
-"""Ingestion tests: labeled SDF sets, pair CSVs, offline-first resolution."""
+"""Ingestion tests: labeled SDF sets, pair CSVs, read-only cache resolution."""
 
 import io
 import os
+from urllib.parse import quote
 
 import pytest
 
 from submol.features import height_features, pair_features
 from submol.graph import parse_sdf, parse_smiles
 from submol.ingest import (
-    FetchResult,
     IngestError,
     InteractionPair,
     ResolutionError,
@@ -17,7 +17,6 @@ from submol.ingest import (
     featurize_pair,
     featurize_pairs,
     label_records,
-    load_bursi,
     load_pairs,
 )
 
@@ -27,118 +26,64 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # --- resolver ---------------------------------------------------------------
 
 
-class CountingHook:
-    """A fetch stub that records every query it answers."""
-
-    def __init__(self, answers):
-        self.answers = answers
-        self.calls = []
-
-    def __call__(self, ident, kind):
-        self.calls.append((ident, kind))
-        return self.answers.get(ident)
-
-
-def test_resolve_fetches_once_then_hits_cache(tmp_path):
-    hook = CountingHook({"aspirin": FetchResult("Aspirin", "CC(=O)Oc1ccccc1C(=O)O", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    first = resolver.resolve("aspirin", "small-molecule")
-    again = resolver.resolve("aspirin", "small-molecule")
-    assert hook.calls == [("aspirin", "small-molecule")]  # one fetch only
-    assert first == again
-    assert first.structure == "CC(=O)Oc1ccccc1C(=O)O"
-    assert first.kind == "small-molecule"
-    assert first.source == "stub"
-    assert resolver.cached_ids() == ["aspirin"]
+def write_record(cache, ident, kind, structure, name=None, source="hand"):
+    """Write the four-line cache record of ``ident`` by hand."""
+    cache.mkdir(exist_ok=True)
+    path = cache / (quote(ident, safe="") + ".rec")
+    path.write_text(f"{kind}\n{name or ident}\n{structure}\n{source}\n", encoding="utf-8")
+    return path
 
 
 def test_cache_record_is_four_lines(tmp_path):
-    hook = CountingHook({"water": FetchResult("water", "O", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    resolver.resolve("water", "small-molecule")
-    path = tmp_path / "cache" / "water.rec"
-    assert path.read_text(encoding="utf-8") == "small-molecule\nwater\nO\nstub\n"
-
-
-def test_name_mismatch_is_rejected_and_not_cached(tmp_path):
-    hook = CountingHook({"benzene": FetchResult("toluene", "Cc1ccccc1", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    with pytest.raises(ResolutionError, match="not trusting"):
-        resolver.resolve("benzene", "small-molecule")
-    assert resolver.cached_ids() == []
-
-
-@pytest.mark.parametrize("reported", ["Benzene", "  benzene ", "BEN ZENE"])
-def test_name_match_is_forgiving(tmp_path, reported):
-    # case and whitespace runs are normalized before comparing
-    query = "ben zene" if " " in reported.strip() else "benzene"
-    hook = CountingHook({query: FetchResult(reported, "c1ccccc1", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    record = resolver.resolve(query, "small-molecule")
-    assert record.name == reported
+    write_record(tmp_path / "cache", "water", "small-molecule", "O", name="Water")
+    record = Resolver(tmp_path / "cache").resolve("water", "small-molecule")
+    assert record == StructureRecord("water", "small-molecule", "Water", "O", "hand")
+    assert len(record.to_graph()) == 1
 
 
 def test_offline_miss_is_final(tmp_path):
+    (tmp_path / "cache").mkdir()
     resolver = Resolver(tmp_path / "cache")
-    with pytest.raises(ResolutionError, match="fetching is disabled"):
+    with pytest.raises(ResolutionError, match="unknown-compound: not in cache"):
         resolver.resolve("unknown-compound")
 
 
+def test_cached_records_never_overwritten(tmp_path):
+    # resolving hits and misses leaves the cache exactly as it was
+    cache = tmp_path / "cache"
+    path = write_record(cache, "w", "small-molecule", "O")
+    resolver = Resolver(cache)
+    assert resolver.resolve("w").structure == "O"
+    with pytest.raises(ResolutionError):
+        resolver.resolve("x", "small-molecule")
+    assert os.listdir(cache) == ["w.rec"]
+    assert path.read_text(encoding="utf-8") == "small-molecule\nw\nO\nhand\n"
+
+
+def test_missing_cache_dir_is_not_created(tmp_path):
+    with pytest.raises(FileNotFoundError, match="cache"):
+        Resolver(tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    with pytest.raises(FileNotFoundError, match="not a directory"):
+        Resolver(tmp_path / "file")
+
+
 def test_kind_mismatch_on_cached_record(tmp_path):
-    hook = CountingHook({"thing": FetchResult("thing", "CC", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    resolver.resolve("thing", "small-molecule")
+    write_record(tmp_path / "cache", "thing", "small-molecule", "CC")
+    resolver = Resolver(tmp_path / "cache")
+    assert resolver.resolve("thing", "small-molecule").structure == "CC"
     with pytest.raises(ResolutionError, match="is a small-molecule"):
         resolver.resolve("thing", "protein")
 
 
-def test_invalid_structure_is_not_cached(tmp_path):
-    hook = CountingHook({"junk": FetchResult("junk", "C(((", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    with pytest.raises((ResolutionError, ValueError)):
-        resolver.resolve("junk", "small-molecule")
-    assert resolver.cached_ids() == []
-    # and the miss stays a miss offline
-    offline = Resolver(tmp_path / "cache")
-    with pytest.raises(ResolutionError):
-        offline.resolve("junk", "small-molecule")
-
-
-def test_fetch_failure_is_wrapped(tmp_path):
-    def exploding_hook(ident, kind):
-        raise OSError("socket closed")
-
-    resolver = Resolver(tmp_path / "cache", fetch_hook=exploding_hook)
-    with pytest.raises(ResolutionError, match="fetch failed"):
-        resolver.resolve("x", "small-molecule")
-
-
-def test_fetch_none_means_not_found(tmp_path):
-    resolver = Resolver(tmp_path / "cache", fetch_hook=CountingHook({}))
-    with pytest.raises(ResolutionError, match="no structure found"):
-        resolver.resolve("nothing", "small-molecule")
-
-
 def test_protein_record_resolves_to_chain_graph(tmp_path):
-    hook = CountingHook({"p1": FetchResult("p1", "MKWVT", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    record = resolver.resolve("p1", "protein")
+    write_record(tmp_path / "cache", "p1", "protein", "MKWVT")
+    record = Resolver(tmp_path / "cache").resolve("p1", "protein")
     graph = record.to_graph()
     assert len(graph) == 5
     assert graph.nodes[0].label == "M"
     assert graph.nodes[0].residue
-
-
-def test_cached_records_never_overwritten(tmp_path):
-    cache = tmp_path / "cache"
-    resolver = Resolver(cache, fetch_hook=CountingHook(
-        {"w": FetchResult("w", "O", "stub")}
-    ))
-    resolver.resolve("w")
-    second = Resolver(cache, fetch_hook=CountingHook(
-        {"w": FetchResult("w", "N", "other")}
-    ))
-    assert second.resolve("w").structure == "O"  # cache wins, no refetch
 
 
 def test_malformed_cache_record(tmp_path):
@@ -147,19 +92,21 @@ def test_malformed_cache_record(tmp_path):
     (cache / "bad.rec").write_text("only\ntwo\n", encoding="utf-8")
     with pytest.raises(ResolutionError, match="malformed"):
         Resolver(cache).resolve("bad")
+    write_record(cache, "odd", "mineral", "C")
+    with pytest.raises(ResolutionError, match="unknown kind 'mineral'"):
+        Resolver(cache).resolve("odd")
 
 
 def test_unknown_kind_argument(tmp_path):
+    write_record(tmp_path / "cache", "x", "small-molecule", "C")
     with pytest.raises(ValueError, match="unknown structure kind"):
         Resolver(tmp_path / "cache").resolve("x", "mineral")
 
 
 def test_identifier_quoting_in_cache_paths(tmp_path):
-    hook = CountingHook({"a/b c": FetchResult("a/b c", "CC", "stub")})
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
-    resolver.resolve("a/b c")
-    assert resolver.cached_ids() == ["a/b c"]
-    assert "/" not in os.listdir(tmp_path / "cache")[0].replace(".rec", "")
+    path = write_record(tmp_path / "cache", "a/b c", "small-molecule", "CC")
+    assert path.name == "a%2Fb%20c.rec"
+    assert Resolver(tmp_path / "cache").resolve("a/b c").structure == "CC"
 
 
 # --- labeled SDF sets -------------------------------------------------------
@@ -167,10 +114,9 @@ def test_identifier_quoting_in_cache_paths(tmp_path):
 
 def test_load_bursi_mini_fixture():
     with open(os.path.join(DATA, "bursi_mini.sdf"), encoding="utf-8") as handle:
-        out = load_bursi(handle, "Ames", "mutagen")
+        out = label_records(parse_sdf(handle), "Ames", "mutagen")
     assert out.labels == [1, -1, 1, -1]
     assert [g.name for g in out.graphs] == ["m1", "m2", "m3", "m6"]
-    assert (out.positives, out.negatives) == (2, 2)
     # one record fails to parse, one lacks the label item
     assert len(out.skipped) == 2
     indices = {index for index, _ in out.skipped}
@@ -182,18 +128,19 @@ def test_load_bursi_mini_fixture():
 
 def test_load_bursi_accepts_string_source():
     text = open(os.path.join(DATA, "bursi_mini.sdf"), encoding="utf-8").read()
-    out = load_bursi(text, "Ames", "mutagen")
+    out = label_records(parse_sdf(text), "Ames", "mutagen")
     assert out.labels == [1, -1, 1, -1]
 
 
 def test_load_bursi_all_unusable():
-    with pytest.raises(IngestError, match="no usable records"):
-        load_bursi("junk\n$$$$\n", "Ames", "mutagen")
+    out = label_records(parse_sdf("junk\n$$$$\n"), "Ames", "mutagen")
+    assert (out.graphs, out.labels) == ([], [])
+    assert [index for index, _ in out.skipped] == [0]
 
 
 def test_load_bursi_nonpositive_values_are_negative():
     with open(os.path.join(DATA, "bursi_mini.sdf"), encoding="utf-8") as handle:
-        out = load_bursi(handle, "Ames", "nonmutagen")
+        out = label_records(parse_sdf(handle), "Ames", "nonmutagen")
     assert out.labels == [-1, 1, -1, 1]
 
 
@@ -213,7 +160,7 @@ def test_missing_label_skip_carries_its_record_index():
         + METHANE_MOLBLOCK + "> <Ames>\nmutagen\n\n$$$$\n"
         + METHANE_MOLBLOCK + "$$$$\n"
     )
-    out = load_bursi(text, "Ames", "mutagen")
+    out = label_records(parse_sdf(text), "Ames", "mutagen")
     assert out.labels == [1]
     assert [index for index, _ in out.skipped] == [0, 2]
     assert out.skipped[1] == (2, "missing label item 'Ames'")
@@ -246,8 +193,7 @@ def test_load_pairs_inline_protein():
     assert (first.id_a, first.id_b, first.label) == ("d1", "t1", 1)
     assert first.kind_b == "protein"
     assert [n.label for n in first.graph_b.nodes] == ["M", "K", "W", "V", "T"]
-    assert dataset.pairs[1].label == -1
-    assert (dataset.positives, dataset.negatives) == (1, 1)
+    assert [p.label for p in dataset.pairs] == [1, -1]
 
 
 def test_load_pairs_inline_molecules_sorted():
@@ -291,11 +237,9 @@ def test_load_pairs_header_validation():
 
 
 def test_load_pairs_resolver_fallback(tmp_path):
-    hook = CountingHook({
-        "d1": FetchResult("d1", "CCO", "stub"),
-        "t1": FetchResult("t1", "MKWVT", "stub"),
-    })
-    resolver = Resolver(tmp_path / "cache", fetch_hook=hook)
+    write_record(tmp_path / "cache", "d1", "small-molecule", "CCO")
+    write_record(tmp_path / "cache", "t1", "protein", "MKWVT")
+    resolver = Resolver(tmp_path / "cache")
     dataset = load_pairs(pair_csv(
         "id_a,id_b,label,seq_b\n"
         "d1,t1,+1,\n"          # blank inline fields force resolution
@@ -306,7 +250,7 @@ def test_load_pairs_resolver_fallback(tmp_path):
     assert len(dataset.pairs[0].graph_b) == 5
     assert len(dataset.dropped) == 1
     assert dataset.dropped[0][0] == 1
-    assert "d9" in dataset.dropped[0][1]
+    assert dataset.dropped[0][1] == "d9: not in cache"
 
 
 def test_load_pairs_without_resolver_or_inline():
@@ -385,7 +329,7 @@ def test_interaction_fixture_loads_cleanly():
         dataset = load_pairs(handle)
     assert len(dataset.pairs) == 200
     assert dataset.dropped == []
-    assert dataset.positives == 100
-    assert dataset.negatives == 100
+    labels = [p.label for p in dataset.pairs]
+    assert (labels.count(1), labels.count(-1)) == (100, 100)
     kinds = {p.kind_b for p in dataset.pairs}
     assert kinds == {"protein"}
