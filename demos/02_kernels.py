@@ -39,18 +39,18 @@ def print_matrix(gram, names):
 def main():
     names = [name for name, _ in MOLECULES]
     vectors = [height_features(parse_smiles(s), [0, 1, 2]) for _, s in MOLECULES]
-    data = build_matrix(vectors, labels=[1] * len(vectors), ids=names)
+    data = build_matrix(vectors, labels=[1] * len(vectors))
     print(f"{len(names)} molecules, {len(data.vocab.keys)} distinct feature keys\n")
 
     for kernel in ("cosine", "nspdk"):
         gram = gram_matrix(data, kernel)
         print(f"== {kernel} kernel ==")
-        print_matrix(gram.values, list(gram.ids))
-        eigs = np.linalg.eigvalsh(gram.values)
-        print(f"symmetric: {np.array_equal(gram.values, gram.values.T)}, "
+        print_matrix(gram, names)
+        eigs = np.linalg.eigvalsh(gram)
+        print(f"symmetric: {np.array_equal(gram, gram.T)}, "
               f"min eigenvalue: {eigs.min():.2e} (>= 0 up to rounding)\n")
 
-    gram = gram_matrix(data, "cosine").values
+    gram = gram_matrix(data, "cosine")
     print("Nearest neighbor of each molecule under the cosine kernel:")
     for i, name in enumerate(names):
         order = np.argsort(-gram[i])

@@ -41,7 +41,7 @@ def main():
     print(f"first pair: {first.id_a} ({len(first.graph_a)} atoms) ~ "
           f"{first.id_b} ({len(first.graph_b)} residues), label {first.label:+d}\n")
 
-    vectors, labels, ids = featurize_pairs(dataset, heights=[0, 1])
+    vectors, labels = featurize_pairs(dataset, heights=[0, 1])
     drug_keys = sum(1 for k in vectors[0].entries if k.startswith("drug:"))
     target_keys = sum(1 for k in vectors[0].entries if k.startswith("target:"))
     print(f"pair feature vectors concatenate both sides; the first pair has")
@@ -50,7 +50,7 @@ def main():
         print(f"  {key}")
     print()
 
-    data = build_matrix(vectors, labels, ids=ids)
+    data = build_matrix(vectors, labels)
     result = run_protocol(
         data,
         PipelineSpec("rf", ForestConfig(trees=50)),

@@ -60,7 +60,6 @@ from .ingest import (
     load_pairs,
 )
 from .kernels import (
-    GramMatrix,
     KernelError,
     KernelizedModel,
     ZeroRowWarning,
@@ -106,7 +105,6 @@ __all__ = [
     "FeatureVocabulary",
     "ForestConfig",
     "ForestModel",
-    "GramMatrix",
     "IngestError",
     "InteractionPair",
     "KernelError",

@@ -103,6 +103,14 @@ def max_features(text: str) -> str | int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """``--seed``: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def _add_featurize(sub) -> None:
     p = _subparser(sub, "featurize", "extract subgraph-count features")
     p.add_argument("--input", required=True, help="input file")
@@ -123,7 +131,7 @@ def _add_featurize(sub) -> None:
 
 def _add_algo_flags(p) -> None:
     p.add_argument("--algo", default="rf", choices=tuple(ALGORITHMS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--kernel", default="none", choices=KERNELS)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trees", type=int, default=100)
@@ -337,14 +345,13 @@ def cmd_featurize(args) -> int:
             print(f"dropping pair row {row_no}: {reason}", file=sys.stderr)
         if not dataset.pairs:
             raise IngestError("no usable pairs in the input")
-        vectors, labels, ids = featurize_pairs(
+        vectors, labels = featurize_pairs(
             dataset, heights, distances if args.mode == "pair" else None
         )
         skipped = len(dataset.dropped)
-        data = build_matrix(vectors, labels, ids=ids)
     else:
         vectors, labels, skipped = _featurize_molecules(args, heights, distances)
-        data = build_matrix(vectors, labels)
+    data = build_matrix(vectors, labels)
     with open(args.out_features, "w", encoding="utf-8") as handle:
         save_sparse(handle, data)
     with open(args.out_vocab, "w", encoding="utf-8") as handle:
@@ -401,7 +408,7 @@ def cmd_gram(args) -> int:
     gram = gram_matrix(data, args.kernel)
     with open(args.out, "w", encoding="utf-8") as handle:
         save_gram(handle, gram)
-    print(f"gram: {args.out} ({len(gram.ids)} x {len(gram.ids)})")
+    print(f"gram: {args.out} ({len(gram)} x {len(gram)})")
     return 0
 
 

@@ -3,8 +3,8 @@
 AUROC is computed as the Mann-Whitney statistic: the fraction of
 positive/negative score pairs ranked correctly, with half credit for ties.
 The t-test is Welch's (unpooled variances, Welch-Satterthwaite degrees of
-freedom); its p-value comes from an in-house regularized incomplete beta
-evaluated by continued fraction, accurate to well below 1e-10.
+freedom); its p-value is the regularized incomplete beta function
+I_{df/(df+t^2)}(df/2, 1/2), taken from SciPy.
 """
 
 from __future__ import annotations
@@ -190,62 +190,7 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom."""
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
-    if math.isinf(t):
-        return 0.0
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    # imported here: scipy.special adds about 0.09 s to every command's start
+    from scipy.special import betainc
 
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) by Lentz's continued fraction, converged to ~1e-15."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))

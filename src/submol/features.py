@@ -217,7 +217,7 @@ class FeatureVocabulary:
     Column order is ascending mass with lexicographic tie-breaking, so the
     thirds used by the partitioned network are contiguous mass bands.
     Masses must be finite.  The key-to-column map is built on the first
-    :meth:`index` or :meth:`columns` call.
+    :meth:`columns` call.
     """
 
     keys: tuple[str, ...]
@@ -254,20 +254,14 @@ class FeatureVocabulary:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def index(self, key: str) -> int | None:
-        return self._positions().get(key)
-
     def columns(self, keys: Iterable[str], count: int = -1) -> np.ndarray:
         """Column of each of ``keys`` (``count`` of them, if known), -1 for a
         key this vocabulary lacks."""
-        return np.fromiter(map(self._positions().get, keys, repeat(-1)), np.intp, count)
-
-    def _positions(self) -> dict[str, int]:
-        positions = self.__dict__.get("_index")
+        positions = self.__dict__.get("_positions")
         if positions is None:
             positions = dict(zip(self.keys, range(len(self.keys))))
-            object.__setattr__(self, "_index", positions)
-        return positions
+            object.__setattr__(self, "_positions", positions)
+        return np.fromiter(map(positions.get, keys, repeat(-1)), np.intp, count)
 
     def block_ids(self) -> np.ndarray:
         """Block number of every column (read-only).
@@ -376,22 +370,22 @@ class DatasetMatrix:
     """Row-per-entity count matrix with labels and an optional vocabulary.
 
     ``X`` is sparse CSR (or a dense array for derived representations such
-    as kernel similarity rows, in which case ``vocab`` is None).  The
-    kernels and the forest read the sparse rows as they are; the SVM and
-    the nets still densify them through :meth:`dense`.  Labels are strictly
-    +1/-1.  A matrix read by :func:`load_sparse` is built directly from the
-    file's CSR arrays: ascending columns, no duplicates, finite counts.
+    as kernel similarity rows, in which case ``vocab`` is None).  Rows are
+    identified by their position.  The kernels and the forest read the
+    sparse rows as they are; the SVM and the nets still densify them
+    through :meth:`dense`.  Labels are strictly +1/-1.  A matrix read by
+    :func:`load_sparse` is built directly from the file's CSR arrays:
+    ascending columns, no duplicates, finite counts.
     """
 
     X: sp.csr_matrix | np.ndarray
     y: np.ndarray
-    ids: tuple[str, ...]
     vocab: FeatureVocabulary | None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=int)
-        if self.X.shape[0] != len(self.y) or len(self.ids) != len(self.y):
-            raise ValueError("rows, labels and ids must align")
+        if self.X.shape[0] != len(self.y):
+            raise ValueError("rows and labels must align")
         if not np.all(np.isin(self.y, (-1, 1))):
             raise ValueError("labels must be +1 or -1")
         if self.vocab is not None and self.X.shape[1] != len(self.vocab):
@@ -407,9 +401,7 @@ class DatasetMatrix:
 
     def subset(self, rows: np.ndarray) -> "DatasetMatrix":
         rows = np.asarray(rows)
-        return DatasetMatrix(
-            self.X[rows], self.y[rows], tuple(self.ids[i] for i in rows), self.vocab
-        )
+        return DatasetMatrix(self.X[rows], self.y[rows], self.vocab)
 
 
 def scoring_rows(X, n_features: int) -> np.ndarray:
@@ -432,7 +424,6 @@ def build_matrix(
     vectors: Sequence[FeatureVector],
     labels: Sequence[int],
     vocab: FeatureVocabulary | None = None,
-    ids: Sequence[str] | None = None,
 ) -> DatasetMatrix:
     """Assemble feature vectors into a sparse matrix.
 
@@ -446,8 +437,6 @@ def build_matrix(
         raise ValueError("no vectors given")
     if vocab is None:
         vocab = FeatureVocabulary.from_vectors(vectors)
-    if ids is None:
-        ids = tuple(str(i) for i in range(len(vectors)))
     # every vector's keys mapped to columns in one pass
     entries = [vec.entries for vec in vectors]
     sizes = list(map(len, entries))
@@ -458,7 +447,7 @@ def build_matrix(
     X = sp.csr_matrix(
         (counts[kept], (rows[kept], cols[kept])), shape=(len(vectors), len(vocab)), dtype=float
     )
-    return DatasetMatrix(X, np.asarray(labels, dtype=int), tuple(ids), vocab)
+    return DatasetMatrix(X, np.asarray(labels, dtype=int), vocab)
 
 
 # --- Files -----------------------------------------------------------------
@@ -616,5 +605,4 @@ def load_sparse(
             raise ValueError("feature file references columns beyond the vocabulary")
         width = len(vocab)
     X = sp.csr_matrix((vals, cols - 1, indptr), shape=(len(labels), width))
-    ids = tuple(str(i) for i in range(len(labels)))
-    return DatasetMatrix(X, np.asarray(labels), ids, vocab)
+    return DatasetMatrix(X, np.asarray(labels), vocab)

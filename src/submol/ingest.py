@@ -248,14 +248,12 @@ def featurize_pairs(
     dataset: PairDataset,
     heights: Iterable[int],
     distances: Iterable[int] | None = None,
-) -> tuple[list[FeatureVector], list[int], list[str]]:
-    """Feature vectors, labels and ids for every pair in the dataset.
+) -> tuple[list[FeatureVector], list[int]]:
+    """Feature vectors and labels for every pair in the dataset, in order.
 
     One memo serves every entity of the dataset, so each distinct
     neighborhood is canonicalized once; it is dropped on return.
     """
     memo: dict[str, Neighborhood] = {}
     vectors = [featurize_pair(p, heights, distances, memo=memo) for p in dataset.pairs]
-    labels = [p.label for p in dataset.pairs]
-    ids = [f"{p.id_a}~{p.id_b}" for p in dataset.pairs]
-    return vectors, labels, ids
+    return vectors, [p.label for p in dataset.pairs]

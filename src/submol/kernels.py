@@ -1,4 +1,4 @@
-"""Similarity kernels over feature rows and Gram-matrix assembly.
+"""Similarity kernels over feature rows, and the Gram matrix file.
 
 Two kernels: plain cosine over whole rows, and a blockwise variant that
 normalizes within each (namespace, height, distance) feature block
@@ -29,20 +29,6 @@ class ZeroRowWarning(UserWarning):
 
 class KernelError(ValueError):
     """Raised when a kernel cannot be applied to the given rows."""
-
-
-@dataclass
-class GramMatrix:
-    """Symmetric kernel matrix over one set of rows."""
-
-    values: np.ndarray
-    ids: tuple[str, ...]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        n = len(self.ids)
-        if self.values.shape != (n, n):
-            raise ValueError("gram matrix must be square and match its ids")
 
 
 def _block_normalized(X, block_ids: np.ndarray, n_blocks: int):
@@ -160,11 +146,9 @@ class KernelizedModel:
         return self.inner.score_rows(kernel_feature_rows(self.basis, X, self.block_ids))
 
 
-def gram_matrix(data: DatasetMatrix, kernel: str = "cosine") -> GramMatrix:
-    """Kernel matrix of a row set against itself."""
-    return GramMatrix(
-        kernel_feature_rows(data.X, data.X, kernel_block_ids(data, kernel)), data.ids
-    )
+def gram_matrix(data: DatasetMatrix, kernel: str = "cosine") -> np.ndarray:
+    """Kernel matrix of a row set against itself, n x n."""
+    return kernel_feature_rows(data.X, data.X, kernel_block_ids(data, kernel))
 
 
 #: About how many values :func:`save_gram` formats per block of rows; its
@@ -172,7 +156,7 @@ def gram_matrix(data: DatasetMatrix, kernel: str = "cosine") -> GramMatrix:
 SAVE_BLOCK_CELLS = 1 << 16
 
 
-def save_gram(stream: TextIO, gram: GramMatrix) -> None:
+def save_gram(stream: TextIO, gram: np.ndarray) -> None:
     """Write the matrix: a header line with n, then n rows of n ``%.17g``
     decimals.
 
@@ -183,12 +167,12 @@ def save_gram(stream: TextIO, gram: GramMatrix) -> None:
     cells, formatting them costs more than it saves, and the block goes
     through the one-row template instead.
     """
-    n = len(gram.ids)
+    n = len(gram)
     stream.write(f"{n}\n")
     line = " ".join(["%.17g"] * n) + "\n"
     step = max(1, SAVE_BLOCK_CELLS // max(n, 1))
     for r0 in range(0, n, step):
-        block = np.ascontiguousarray(gram.values[r0 : r0 + step])
+        block = np.ascontiguousarray(gram[r0 : r0 + step])
         distinct = np.count_nonzero(np.diff(np.sort(block.view(np.uint64), axis=None))) + 1
         if 2 * distinct > block.size:
             for row in block.tolist():

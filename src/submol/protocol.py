@@ -157,8 +157,8 @@ def _restrict_to_training_vocab(
     active = _active_columns(train.X)
     vocab = train.vocab.restrict(active)
     return (
-        DatasetMatrix(train.X[:, active], train.y, train.ids, vocab),
-        DatasetMatrix(val.X[:, active], val.y, val.ids, vocab),
+        DatasetMatrix(train.X[:, active], train.y, vocab),
+        DatasetMatrix(val.X[:, active], val.y, vocab),
     )
 
 
@@ -175,7 +175,7 @@ def fit(train: DatasetMatrix, pipeline: PipelineSpec, seed: int, threads: int):
     if pipeline.kernel != "none":
         block_ids = kernel_block_ids(train, pipeline.kernel)
         rows = kernel_feature_rows(train.X, train.X, block_ids)
-        seen = DatasetMatrix(rows, train.y, train.ids, None)
+        seen = DatasetMatrix(rows, train.y, None)
     _, trainer = ALGORITHMS[pipeline.algorithm]
     model = trainer(seen, pipeline.algo_config, seed, threads)
     if pipeline.kernel != "none":
@@ -247,16 +247,31 @@ def write_metrics_csv(stream: TextIO, result: ProtocolResult) -> None:
 
 
 def read_metrics_csv(stream: TextIO) -> dict[str, MetricSample]:
+    """Per-metric samples of a file written by :func:`write_metrics_csv`.
+
+    Raises ``ValueError`` for a header that names a column twice, and,
+    naming the line, for a row with another field count than the header
+    or with a value that is not finite.
+    """
     header = stream.readline().strip().split(",")
     if header[:1] != ["trial"]:
         raise ValueError("metrics file must start with a 'trial,...' header")
+    if len(set(header)) != len(header):
+        raise ValueError("metrics header names a column twice")
     columns: dict[str, list[float]] = {name: [] for name in header[1:]}
-    for line in stream:
+    for lineno, line in enumerate(stream, start=2):
         if not line.strip():
             continue
         fields = line.strip().split(",")
-        for name, value in zip(header[1:], fields[1:]):
-            columns[name].append(float(value))
+        if len(fields) != len(header):
+            raise ValueError(
+                f"metrics line {lineno} has {len(fields)} fields, the header {len(header)}"
+            )
+        values = [float(value) for value in fields[1:]]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"metrics line {lineno} has a value that is not finite")
+        for name, value in zip(header[1:], values):
+            columns[name].append(value)
     return {
         name: MetricSample(name, tuple(values)) for name, values in columns.items()
     }

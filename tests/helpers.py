@@ -299,10 +299,10 @@ def reference_load_sparse(stream):
 
 def reference_save_gram(stream, gram) -> None:
     """A header line with n, then n rows of n ``%.17g`` decimals."""
-    n = len(gram.ids)
+    n = len(gram)
     stream.write(f"{n}\n")
     line = " ".join(["%.17g"] * n) + "\n"
-    for row in gram.values:
+    for row in gram:
         stream.write(line % tuple(row.tolist()))
 
 

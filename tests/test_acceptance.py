@@ -120,8 +120,8 @@ def test_criterion_02_interaction_fixture(capsys):
         ) as handle:
             dataset = load_pairs(handle)
         assert len(dataset.pairs) == 200
-        vectors, labels, ids = featurize_pairs(dataset, heights=[0, 1])
-        data = build_matrix(vectors, labels, ids=ids)
+        vectors, labels = featurize_pairs(dataset, heights=[0, 1])
+        data = build_matrix(vectors, labels)
         result = run_protocol(
             data,
             PipelineSpec("rf", ForestConfig(trees=100)),
@@ -347,7 +347,7 @@ def test_criterion_08_kernel_properties(capsys):
             ]
             data = build_matrix(vectors, [1] * n)
             for kernel in ("cosine", "nspdk"):
-                gram = gram_matrix(data, kernel).values
+                gram = gram_matrix(data, kernel)
                 asym = float(np.max(np.abs(gram - gram.T)))
                 min_eig = float(np.linalg.eigvalsh(gram).min())
                 diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
@@ -365,7 +365,7 @@ def test_criterion_08_kernel_properties(capsys):
             vocab=vocab,
         )
         with pytest.warns(ZeroRowWarning):
-            gram = gram_matrix(frozen, "cosine").values
+            gram = gram_matrix(frozen, "cosine")
         assert gram[1, 1] == 0.0
         assert gram[0, 1] == 0.0
         info.line = (

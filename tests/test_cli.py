@@ -490,6 +490,21 @@ def test_ttest_unknown_metric(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, fault", [
+    ("2,0.85", "has 2 fields, the header 4"),
+    ("2,0.85,1.0,1.0,0.5", "has 5 fields, the header 4"),
+    ("2,nan,1.0,1.0", "has a value that is not finite"),
+    ("2,0.85,inf,1.0", "has a value that is not finite"),
+], ids=["short", "long", "nan", "inf"])
+def test_ttest_rejects_a_malformed_metrics_row(tmp_path, capsys, row, fault):
+    good, bad = str(tmp_path / "good.csv"), tmp_path / "bad.csv"
+    write_metrics(good, [0.9, 0.91])
+    write_metrics(str(bad), [0.8, 0.81])
+    bad.write_text(bad.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+    assert main(["ttest", "--a", good, "--b", str(bad)]) == 3
+    assert f"input error: metrics line 4 {fault}" in capsys.readouterr().err
+
+
 # --- config files -----------------------------------------------------------
 
 
@@ -543,6 +558,26 @@ def test_config_value_of_another_type_is_exit_2(nitro_file, tmp_path, capsys,
                  "--model-out", str(model)]) == 2
     assert f"bad value {value!r} for config key {key!r}" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("algo", ["rf", "svm", "mlp", "pnet"])
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_negative_seed_is_exit_2(nitro_file, tmp_path, capsys, command, algo, by_config):
+    _, features, vocab = featurize(nitro_file, str(tmp_path), "--heights", "0")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    out = tmp_path / "out"
+    outputs = (["--model-out", str(out)] if command == "train"
+               else ["--protocol", "kfold:2", "--out-metrics", str(out),
+                     "--out-summary", str(tmp_path / "summary.json")])
+    seed = ["--config", str(config)] if by_config else ["--seed", "-1"]
+    capsys.readouterr()
+    assert main([command, *seed, "--features", features, "--vocab", vocab,
+                 "--algo", algo, "--trees", "2", "--epochs", "1", *outputs]) == 2
+    err = capsys.readouterr().err
+    assert ("bad value -1 for config key 'seed'" if by_config else "--seed") in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [True, 2.5, "abc", 0, -1, "0"],
@@ -848,7 +883,7 @@ def test_load_vocab_keeps_nothing_between_calls(tmp_path):
         with open(tmp_path / name, encoding="utf-8") as handle:
             vocab = load_vocab(handle)
         assert vocab.keys == keys
-        assert [vocab.index(key) for key in keys] == [0, 1]
+        assert vocab.columns(keys).tolist() == [0, 1]
         assert vocab.block_ids().tolist() == blocks
 
 

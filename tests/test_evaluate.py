@@ -2,7 +2,7 @@
 
 Every in-house routine is checked two ways: against small hand-worked
 examples, and against an independent implementation (explicit pair counting
-for AUROC, scipy for ranks, the t distribution and the incomplete beta).
+for AUROC, scipy for ranks and the t distribution).
 """
 
 import math
@@ -10,7 +10,6 @@ import random
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from helpers import auroc_by_pair_counting
 
@@ -22,7 +21,6 @@ from submol.evaluate import (
     accuracy,
     auroc,
     kfold_indices,
-    regularized_incomplete_beta,
     roc_points,
     shuffle_split_indices,
     student_t_two_sided_p,
@@ -293,7 +291,7 @@ def test_ttest_result_is_frozen():
         result.t = 2.0
 
 
-# --- t distribution and incomplete beta -------------------------------------
+# --- t distribution ---------------------------------------------------------
 
 
 def test_student_t_p_matches_scipy_grid():
@@ -310,19 +308,3 @@ def test_student_t_p_edges():
     assert student_t_two_sided_p(math.inf, 5.0) == 0.0
     with pytest.raises(ValueError, match="positive"):
         student_t_two_sided_p(1.0, 0.0)
-
-
-def test_incomplete_beta_matches_scipy_grid():
-    for a in (0.5, 1.0, 2.5, 8.0):
-        for b in (0.5, 1.0, 3.0, 12.0):
-            for x in np.linspace(0.0, 1.0, 11):
-                ours = regularized_incomplete_beta(a, b, float(x))
-                ref = scipy.special.betainc(a, b, x)
-                assert ours == pytest.approx(ref, abs=1e-13), (a, b, x)
-
-
-def test_incomplete_beta_edges():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)

@@ -341,9 +341,8 @@ def test_vocab_rejects_wrong_order_and_duplicates():
 
 def test_vocab_index_lookup():
     vocab = FeatureVocabulary(("0|a", "0|b"), (1.0, 2.0))
-    assert vocab.index("0|a") == 0
-    assert vocab.index("0|b") == 1
-    assert vocab.index("0|zzz") is None
+    assert vocab.columns(["0|a", "0|b", "0|zzz"]).tolist() == [0, 1, -1]
+    assert vocab.columns(["0|b"], 1).tolist() == [1]
     assert len(vocab) == 2
 
 
@@ -371,11 +370,10 @@ def test_build_matrix_freezes_vocab_from_training():
     data = build_matrix(toy_vectors(), [1, -1])
     assert data.X.shape == (2, len(data.vocab))
     assert data.y.tolist() == [1, -1]
-    assert data.ids == ("0", "1")
     # every vector count lands in its column
     for r, vec in enumerate(toy_vectors()):
         for key, count in vec.entries.items():
-            c = data.vocab.index(key)
+            [c] = data.vocab.columns([key])
             assert data.X[r, c] == count
 
 
@@ -398,19 +396,18 @@ def test_build_matrix_validation():
 def test_dataset_matrix_validation():
     X = sp.csr_matrix(np.ones((2, 2)))
     with pytest.raises(ValueError, match=r"\+1 or -1"):
-        DatasetMatrix(X, np.array([1, 0]), ("a", "b"), None)
+        DatasetMatrix(X, np.array([1, 0]), None)
     with pytest.raises(ValueError, match="align"):
-        DatasetMatrix(X, np.array([1, -1, 1]), ("a", "b", "c"), None)
+        DatasetMatrix(X, np.array([1, -1, 1]), None)
     vocab = FeatureVocabulary(("0|a",), (1.0,))
     with pytest.raises(ValueError, match="width"):
-        DatasetMatrix(X, np.array([1, -1]), ("a", "b"), vocab)
+        DatasetMatrix(X, np.array([1, -1]), vocab)
 
 
 def test_dataset_matrix_subset_and_dense():
-    data = build_matrix(toy_vectors(), [1, -1], ids=("mol.a", "mol.b"))
+    data = build_matrix(toy_vectors(), [1, -1])
     sub = data.subset(np.array([1]))
     assert len(sub) == 1
-    assert sub.ids == ("mol.b",)
     assert sub.y.tolist() == [-1]
     assert np.array_equal(sub.dense()[0], data.dense()[1])
     assert sub.vocab is data.vocab
@@ -422,7 +419,7 @@ def test_dataset_matrix_subset_and_dense():
 def test_sparse_file_format_exact():
     vocab = FeatureVocabulary(("0|a", "0|b", "0|c"), (1.0, 2.0, 3.0))
     X = sp.csr_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0]]))
-    data = DatasetMatrix(X, np.array([1, -1]), ("0", "1"), vocab)
+    data = DatasetMatrix(X, np.array([1, -1]), vocab)
     out = io.StringIO()
     save_sparse(out, data)
     assert out.getvalue() == "+1 1:2 3:1\n-1 2:3\n"
@@ -459,7 +456,7 @@ def _count_matrices():
 def test_sparse_files_match_the_item_by_item_routines(name, items, monkeypatch):
     X = _count_matrices()[name]
     labels = np.where(np.arange(X.shape[0]) % 3, 1, -1)
-    data = DatasetMatrix(X, labels, tuple(str(i) for i in range(X.shape[0])), None)
+    data = DatasetMatrix(X, labels, None)
     monkeypatch.setattr(features, "SAVE_BLOCK_ITEMS", items)
     out, reference = io.StringIO(), io.StringIO()
     save_sparse(out, data)

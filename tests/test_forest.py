@@ -26,8 +26,7 @@ from submol.graph import parse_smiles
 
 def matrix_from(rows, labels):
     X = sp.csr_matrix(np.asarray(rows, dtype=float))
-    ids = tuple(str(i) for i in range(len(rows)))
-    return DatasetMatrix(X, np.asarray(labels), ids, None)
+    return DatasetMatrix(X, np.asarray(labels), None)
 
 
 def best_split(X, y, criterion):
@@ -160,7 +159,7 @@ def _random_case(case):
 def test_sparse_trees_match_the_dense_reference(case):
     M, X, y = _random_case(case)
     assert np.array_equal(M.toarray(), X)
-    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    data = DatasetMatrix(M, y, None)
     cfg = ForestConfig(
         trees=4,
         criterion=("gini", "entropy")[case % 2],
@@ -169,7 +168,7 @@ def test_sparse_trees_match_the_dense_reference(case):
     model = train_forest(data, cfg, seed=case)
     assert model.trees == dense_forest_trees(data, cfg, seed=case)
     # the same trees from a dense input, and the same scores from either
-    dense_input = DatasetMatrix(X, y, data.ids, None)
+    dense_input = DatasetMatrix(X, y, None)
     assert train_forest(dense_input, cfg, seed=case).trees == model.trees
     expected = np.mean(
         [_dense_tree_scores(tree["nodes"], X) for tree in model.trees], axis=0
@@ -180,7 +179,7 @@ def test_sparse_trees_match_the_dense_reference(case):
 
 def test_sparse_scoring_sums_duplicates_in_any_order():
     M, X, y = _random_case(3)  # small counts, with stored zeros
-    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    data = DatasetMatrix(M, y, None)
     model = train_forest(data, ForestConfig(trees=5, max_features="all"), seed=2)
     expected = np.mean([_dense_tree_scores(t["nodes"], X) for t in model.trees], axis=0)
     # each stored count split in two entries, in reversed order within a row
@@ -213,7 +212,7 @@ def test_training_leaves_the_callers_matrix_alone():
     M, _, y = _random_case(3)
     before = (M.data.copy(), M.indices.copy(), M.indptr.copy())
     assert (M.data == 0).any()
-    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    data = DatasetMatrix(M, y, None)
     train_forest(data, ForestConfig(trees=3), seed=1)
     after = (M.data, M.indices, M.indptr)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -225,7 +224,7 @@ def _refuse(*args, **kwargs):
 
 def test_forest_never_densifies(monkeypatch):
     M, X, y = _random_case(4)
-    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    data = DatasetMatrix(M, y, None)
     expected = train_forest(data, ForestConfig(trees=4), seed=3)
     monkeypatch.setattr(DatasetMatrix, "dense", _refuse)
     for matrix_class in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
@@ -444,7 +443,7 @@ def test_training_is_deterministic_and_thread_independent():
 
 def test_worker_processes_grow_the_same_trees_and_exit():
     M, _, y = _random_case(7)
-    data = DatasetMatrix(M, y, tuple(str(i) for i in range(len(y))), None)
+    data = DatasetMatrix(M, y, None)
     inline = train_forest(data, ForestConfig(trees=5), seed=9, threads=1)
     forked = train_forest(data, ForestConfig(trees=5), seed=9, threads=2)
     assert forked.trees == inline.trees

@@ -290,15 +290,14 @@ def test_featurize_pair_with_distances():
     assert drug_keys == {"drug:" + k for k in expected_left.entries}
 
 
-def test_featurize_pairs_ids_and_labels():
+def test_featurize_pairs_vectors_and_labels():
     dataset = load_pairs(pair_csv(
         "id_a,smiles_a,id_b,seq_b,label\n"
         "d1,CCO,t1,MKWVT,+1\n"
         "d2,CC,t2,GLY,-1\n"
     ))
-    vectors, labels, ids = featurize_pairs(dataset, heights=[0, 1])
+    vectors, labels = featurize_pairs(dataset, heights=[0, 1])
     assert labels == [1, -1]
-    assert ids == ["d1~t1", "d2~t2"]
     assert len(vectors) == 2
     assert all(any(k.startswith("drug:") for k in v.entries) for v in vectors)
     assert all(any(k.startswith("target:") for k in v.entries) for v in vectors)

@@ -21,7 +21,6 @@ from submol.features import (
 from submol.forest import ForestConfig, train_forest
 from submol.graph import parse_smiles
 from submol.kernels import (
-    GramMatrix,
     KernelError,
     KernelizedModel,
     ZeroRowWarning,
@@ -34,8 +33,7 @@ from submol.kernels import (
 
 def matrix_from(rows, labels, vocab=None):
     X = sp.csr_matrix(np.asarray(rows, dtype=float))
-    ids = tuple(str(i) for i in range(len(rows)))
-    return DatasetMatrix(X, np.asarray(labels), ids, vocab)
+    return DatasetMatrix(X, np.asarray(labels), vocab)
 
 
 def feature_rows(train, rows, kernel):
@@ -139,8 +137,7 @@ def test_gram_equals_rectangular_path_exactly():
     data = matrix_from(rows, [1, -1] * 3 + [1])
     gram = gram_matrix(data, "cosine")
     rect = feature_rows(data, data, "cosine")
-    assert np.array_equal(gram.values, rect)
-    assert gram.ids == data.ids
+    assert np.array_equal(gram, rect)
 
 
 def test_gram_symmetry_and_unit_diagonal():
@@ -150,9 +147,9 @@ def test_gram_symmetry_and_unit_diagonal():
     ]
     data = build_matrix(vectors, [1, 1, -1, -1])
     gram = gram_matrix(data, "cosine")
-    assert np.allclose(gram.values, gram.values.T, atol=1e-15)
-    assert np.allclose(np.diag(gram.values), 1.0, atol=1e-12)
-    eigvals = np.linalg.eigvalsh(gram.values)
+    assert np.allclose(gram, gram.T, atol=1e-15)
+    assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
+    eigvals = np.linalg.eigvalsh(gram)
     assert eigvals.min() >= -1e-10
 
 
@@ -162,13 +159,13 @@ def test_nspdk_gram_on_real_features():
     ]
     data = build_matrix(vectors, [1, -1, 1])
     gram = gram_matrix(data, "nspdk")
-    assert np.allclose(gram.values, gram.values.T, atol=1e-15)
-    assert np.allclose(np.diag(gram.values), 1.0, atol=1e-12)
+    assert np.allclose(gram, gram.T, atol=1e-15)
+    assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
     # off-diagonal entries are strict means of per-block cosines
     blocks = block_columns(data.vocab)
     dense = data.dense()
     expected = nspdk_kernel(dense[0], dense[1], blocks)
-    assert gram.values[0, 1] == pytest.approx(expected, abs=1e-12)
+    assert gram[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_nspdk_rows_require_vocab():
@@ -179,7 +176,7 @@ def test_nspdk_rows_require_vocab():
 
 def test_nspdk_rejects_an_empty_vocabulary():
     empty = DatasetMatrix(
-        sp.csr_matrix((2, 0)), np.array([1, -1]), ("0", "1"), FeatureVocabulary((), ())
+        sp.csr_matrix((2, 0)), np.array([1, -1]), FeatureVocabulary((), ())
     )
     with pytest.raises(KernelError, match="empty"):
         feature_rows(empty, empty, "nspdk")
@@ -202,20 +199,20 @@ def test_zero_row_in_matrix_warns_and_gives_zero_similarity():
     data = matrix_from([[0.0, 0.0], [1.0, 1.0]], [1, -1])
     with pytest.warns(ZeroRowWarning):
         gram = gram_matrix(data, "cosine")
-    assert gram.values[0, 0] == 0.0
-    assert gram.values[0, 1] == 0.0
-    assert gram.values[1, 1] == pytest.approx(1.0, abs=1e-15)
+    assert gram[0, 0] == 0.0
+    assert gram[0, 1] == 0.0
+    assert gram[1, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_stored_zero_warns_like_an_empty_row():
     # row 0 stores one explicit 0.0: it has no nonzero value, so it warns
     X = sp.csr_matrix(([0.0, 1.0, 1.0], ([0, 1, 1], [0, 0, 1])), shape=(2, 2))
-    data = DatasetMatrix(X, np.array([1, -1]), ("0", "1"), None)
+    data = DatasetMatrix(X, np.array([1, -1]), None)
     assert data.X.nnz == 3
     with pytest.warns(ZeroRowWarning):
         gram = gram_matrix(data, "cosine")
-    assert not np.isnan(gram.values).any()
-    assert gram.values[0].tolist() == [0.0, 0.0]
+    assert not np.isnan(gram).any()
+    assert gram[0].tolist() == [0.0, 0.0]
 
 
 def test_stored_zeros_in_an_empty_block_give_no_nan():
@@ -225,16 +222,16 @@ def test_stored_zeros_in_an_empty_block_give_no_nan():
         ([1.0, 0.0, 2.0, 1.0, 3.0], ([0, 0, 1, 1, 1], [0, 2, 1, 2, 3])),
         shape=(2, 4),
     )
-    stored = DatasetMatrix(X, np.array([1, -1]), ("0", "1"), vocab)
+    stored = DatasetMatrix(X, np.array([1, -1]), vocab)
     clean = X.copy()
     clean.eliminate_zeros()
     assert clean.nnz == X.nnz - 1
-    cleaned = DatasetMatrix(clean, stored.y, stored.ids, vocab)
+    cleaned = DatasetMatrix(clean, stored.y, vocab)
     for kernel in ("cosine", "nspdk"):
         got = feature_rows(stored, stored, kernel)
         assert not np.isnan(got).any()
         assert np.array_equal(got, feature_rows(cleaned, cleaned, kernel))
-    assert gram_matrix(stored, "nspdk").values[0, 0] == 0.5
+    assert gram_matrix(stored, "nspdk")[0, 0] == 0.5
 
 
 def _refuse(*args, **kwargs):
@@ -251,7 +248,7 @@ def test_kernels_do_not_densify(monkeypatch):
     blocks = block_columns(data.vocab)
     rows = feature_rows(data, data, "cosine")
     inner = train_forest(
-        DatasetMatrix(rows, data.y, data.ids, None), ForestConfig(trees=4), seed=2
+        DatasetMatrix(rows, data.y, None), ForestConfig(trees=4), seed=2
     )
     model = KernelizedModel("cosine", data.X, None, inner)
     expected_scores = inner.score_rows(rows)
@@ -318,10 +315,7 @@ def _check_against_oracles(train, rows, dense_train, dense_rows, blocks):
 def test_sparse_rows_match_oracles_and_gram_is_symmetric(seed):
     rnd = random.Random(seed)
     dense, vocab = _random_blocked_data(rnd, 14, 40, 7)
-    data = DatasetMatrix(
-        sp.csr_matrix(dense), np.ones(len(dense), dtype=int),
-        tuple(str(i) for i in range(len(dense))), vocab,
-    )
+    data = DatasetMatrix(sp.csr_matrix(dense), np.ones(len(dense), dtype=int), vocab)
     blocks = _parsed_blocks(vocab)
     assert len(blocks) == 7
     train, rows = data.subset(np.arange(9)), data.subset(np.arange(9, 14))
@@ -329,7 +323,7 @@ def test_sparse_rows_match_oracles_and_gram_is_symmetric(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroRowWarning)
         for kernel in ("cosine", "nspdk"):
-            G = gram_matrix(data, kernel).values
+            G = gram_matrix(data, kernel)
             assert np.array_equal(G, G.T)
     # the nspdk diagonal is each row's share of non-empty blocks
     share = [sum(dense[r, cols].any() for cols in blocks) / 7 for r in range(14)]
@@ -346,10 +340,7 @@ def test_restricted_vocabulary_counts_only_the_blocks_it_holds(seed):
     dropped = _parsed_blocks(vocab)[0]
     dense[:8, dropped] = 0.0
     dense[8, dropped] = 1.0
-    data = DatasetMatrix(
-        sp.csr_matrix(dense), np.ones(len(dense), dtype=int),
-        tuple(str(i) for i in range(len(dense))), vocab,
-    )
+    data = DatasetMatrix(sp.csr_matrix(dense), np.ones(len(dense), dtype=int), vocab)
     train, val = _restrict_to_training_vocab(
         data.subset(np.arange(8)), data.subset(np.arange(8, 12))
     )
@@ -384,7 +375,7 @@ def test_gram_file_round_trip():
     assert text.splitlines()[0] == "5"
     loaded = np.loadtxt(io.StringIO(text), skiprows=1)
     # %.17g keeps every float bit for doubles
-    assert np.array_equal(loaded, gram.values)
+    assert np.array_equal(loaded, gram)
 
 
 def _gram_cases():
@@ -409,20 +400,13 @@ def _gram_cases():
 @pytest.mark.parametrize("name", sorted(_gram_cases()))
 def test_gram_file_matches_the_row_template(name, cells, monkeypatch):
     values = _gram_cases()[name]
-    gram = GramMatrix(values, tuple(str(i) for i in range(len(values))))
     monkeypatch.setattr(kernels, "SAVE_BLOCK_CELLS", cells)
     out, reference = io.StringIO(), io.StringIO()
-    save_gram(out, gram)
-    reference_save_gram(reference, gram)
+    save_gram(out, values)
+    reference_save_gram(reference, values)
     assert out.getvalue() == reference.getvalue()
     if name == "mixed" and cells == 48:  # 2 rows per block
         shares = [len(np.unique(values[r : r + 2])) / values[r : r + 2].size
                   for r in range(0, len(values), 2)]
         assert min(shares) <= 0.5 < max(shares)
 
-
-def test_gram_matrix_shape_validation():
-    with pytest.raises(ValueError, match="square"):
-        GramMatrix(np.ones((2, 3)), ("a", "b"))
-    with pytest.raises(ValueError, match="square"):
-        GramMatrix(np.ones((2, 2)), ("a", "b", "c"))

@@ -31,8 +31,7 @@ from submol.neural import (
 
 def matrix_from(rows, labels, vocab=None):
     X = sp.csr_matrix(np.asarray(rows, dtype=float))
-    ids = tuple(str(i) for i in range(len(rows)))
-    return DatasetMatrix(X, np.asarray(labels), ids, vocab)
+    return DatasetMatrix(X, np.asarray(labels), vocab)
 
 
 def blob_data(rng, n_each=20, gap=2.5, width=2, vocab=None):
@@ -263,7 +262,7 @@ def test_training_is_deterministic_in_seed():
 
 def test_divergence_is_reported():
     X = np.array([[np.nan, 1.0], [np.nan, 0.0]])
-    data = DatasetMatrix(X, np.array([1, -1]), ("0", "1"), None)
+    data = DatasetMatrix(X, np.array([1, -1]), None)
     with pytest.raises(TrainingError, match="diverged at epoch 0"):
         train_mlp(data, NetConfig(), seed=0)
 

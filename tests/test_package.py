@@ -4,6 +4,8 @@ import ast
 import importlib.util
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import submol
@@ -72,3 +74,16 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         tracer.restore()
     assert patched
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_cli_import_leaves_the_slow_scipy_modules_unloaded():
+    # every command pays for what submol.cli imports: scipy.special costs
+    # about 0.09 s and scipy.stats 0.56 s, so only the ttest loads them
+    probe = (
+        "import sys; import submol.cli; "
+        "print(sorted(m for m in ('scipy.special', 'scipy.stats') if m in sys.modules))"
+    )
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": ""}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

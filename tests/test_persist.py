@@ -42,8 +42,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def interaction_data():
     with open(os.path.join(DATA, "interaction_200.csv"), encoding="utf-8", newline="") as f:
-        vectors, labels, ids = featurize_pairs(load_pairs(f), [0, 1])
-    return build_matrix(vectors, labels, ids=ids)
+        vectors, labels = featurize_pairs(load_pairs(f), [0, 1])
+    return build_matrix(vectors, labels)
 
 
 def toy_data():
@@ -126,7 +126,7 @@ def test_svm_round_trip():
 def test_kernelized_round_trip():
     data = toy_data()
     gram_rows = kernel_feature_rows(data.X, data.X)
-    gram = DatasetMatrix(gram_rows, data.y, data.ids, None)
+    gram = DatasetMatrix(gram_rows, data.y, None)
     inner = train_forest(gram, ForestConfig(trees=4), seed=2)
     model = KernelizedModel("cosine", data.X, None, inner)
     restored, text = round_trip(model, data.vocab.sha256())
@@ -232,7 +232,7 @@ def test_cosine_kernelized_models_store_no_block_ids():
 
 def gram_data(data, kernel):
     rows = kernel_feature_rows(data.X, data.X, kernel_block_ids(data, kernel))
-    return DatasetMatrix(rows, data.y, data.ids, None)
+    return DatasetMatrix(rows, data.y, None)
 
 
 def kernelized(data, kernel, inner):

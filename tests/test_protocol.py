@@ -40,8 +40,7 @@ from submol.protocol import (
 
 def numeric_matrix(rows, labels):
     X = sp.csr_matrix(np.asarray(rows, dtype=float))
-    ids = tuple(str(i) for i in range(len(rows)))
-    return DatasetMatrix(X, np.asarray(labels), ids, None)
+    return DatasetMatrix(X, np.asarray(labels), None)
 
 
 def blob_matrix(rng, n_each=15):
@@ -124,7 +123,7 @@ def test_restrict_drops_training_inactive_columns():
         [1.0, 0.0, 2.0],   # train
         [0.0, 5.0, 1.0],   # val: column b unseen in training
     ]))
-    data = DatasetMatrix(X, np.array([1, -1]), ("t", "v"), vocab)
+    data = DatasetMatrix(X, np.array([1, -1]), vocab)
     train, val = _restrict_to_training_vocab(
         data.subset(np.array([0])), data.subset(np.array([1]))
     )
@@ -341,6 +340,9 @@ def test_metrics_csv_floats_survive_exactly():
 def test_read_metrics_rejects_wrong_header():
     with pytest.raises(ValueError, match="header"):
         read_metrics_csv(io.StringIO("auroc,val_acc\n0.5,0.5\n"))
+    # one sample, not two columns' values pooled under one name
+    with pytest.raises(ValueError, match="twice"):
+        read_metrics_csv(io.StringIO("trial,auroc,auroc\n0,0.5,0.6\n1,0.7,0.8\n"))
 
 
 def test_summary_json_shape():

@@ -22,8 +22,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def mat(rows, labels):
     X = sp.csr_matrix(np.asarray(rows, dtype=float))
-    ids = tuple(str(i) for i in range(len(rows)))
-    return DatasetMatrix(X, np.asarray(labels), ids, None)
+    return DatasetMatrix(X, np.asarray(labels), None)
 
 
 def blobs(rng, n_each=12, gap=2.0):
@@ -202,8 +201,8 @@ def test_dual_optimum_matches_independent_solver(seed):
 def interaction_features():
     path = os.path.join(DATA, "interaction_200.csv")
     with open(path, encoding="utf-8", newline="") as handle:
-        vectors, labels, ids = featurize_pairs(load_pairs(handle), [1])
-    return build_matrix(vectors, labels, ids=ids)
+        vectors, labels = featurize_pairs(load_pairs(handle), [1])
+    return build_matrix(vectors, labels)
 
 
 def test_default_config_converges_on_raw_count_features():
